@@ -10,6 +10,16 @@ go build ./...
 go test ./...
 go test -race ./internal/core ./internal/rnic ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster
 
+# Contention shard. The event-driven pollers park and wake on the
+# software RNIC's completion channel, so scheduling differences between
+# GOMAXPROCS settings are exactly where a lost wake-up or an OCC retry
+# livelock would surface: run the concurrent packages at 1, 2 and 4 CPUs,
+# three times each, then the lost-wake-up and zero-allocation tests of
+# the event count and the parked pollers under the race detector.
+go test -cpu 1,2,4 -count=3 ./internal/core ./internal/txn ./internal/cluster
+go test -race -count=10 -run 'EventCount|DeviceSignals' ./internal/rnic
+go test -race -count=10 -run 'Parked|CloseWhileParked|PollerPark' ./internal/core
+
 # Mutation self-test: rebuild the schedule explorer with the eight
 # known-bad protocol variants (flockmut build tag) and assert the
 # linearizability checker flags every one of them — the premature-ack

@@ -49,6 +49,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -437,6 +438,16 @@ func main() {
 	}
 	if *metrics {
 		snap := net.TelemetrySnapshot()
+		var parks, wakeups uint64
+		for name, v := range snap.Counters {
+			switch {
+			case strings.HasSuffix(name, ".core.poller_parks"):
+				parks += v
+			case strings.HasSuffix(name, ".core.poller_wakeups"):
+				wakeups += v
+			}
+		}
+		fmt.Printf("pollers     parks=%d wakeups=%d (all nodes)\n", parks, wakeups)
 		b, err := snap.JSON()
 		if err != nil {
 			log.Fatal(err)

@@ -14,9 +14,28 @@ import (
 // scriptedProbe is a Probe transport for virtual-clock tests: per-member
 // health toggled by the test, no RPCs, no deadlines, no wall time.
 type scriptedProbe struct {
-	mu   sync.Mutex
-	down map[fabric.NodeID]bool
-	drng map[fabric.NodeID]bool
+	mu    sync.Mutex
+	down  map[fabric.NodeID]bool
+	drng  map[fabric.NodeID]bool
+	calls map[fabric.NodeID]int
+}
+
+// waitCalls waits until id has been probed at least n times.
+func (p *scriptedProbe) waitCalls(t *testing.T, id fabric.NodeID, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		c := p.calls[id]
+		p.mu.Unlock()
+		if c >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("member %d probed %d times, want %d", id, c, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 func (p *scriptedProbe) set(id fabric.NodeID, down bool) {
@@ -28,6 +47,9 @@ func (p *scriptedProbe) set(id fabric.NodeID, down bool) {
 func (p *scriptedProbe) probe(id fabric.NodeID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.calls != nil {
+		p.calls[id]++
+	}
 	if p.down[id] {
 		return errors.New("scripted: down")
 	}
@@ -48,20 +70,29 @@ func (p *scriptedProbe) probe(id fabric.NodeID) error {
 // consumer only returns to its select after ProbeOnce completes — so
 // after Advance delivers N+1 ticks, at least N full probe rounds have
 // finished. Advancing one tick beyond the round count needed is all the
-// slack the test ever takes.
+// slack the test ever takes. The +1th round itself is still running when
+// Advance returns, so a probe outcome is changed only once that round
+// has probed the member (settle): the change then lands in later rounds.
 func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
 	lc := newLiveCluster(t, 3, 8, fabric.Config{})
-	probe := &scriptedProbe{down: map[fabric.NodeID]bool{}, drng: map[fabric.NodeID]bool{}}
+	probe := &scriptedProbe{
+		down:  map[fabric.NodeID]bool{},
+		drng:  map[fabric.NodeID]bool{},
+		calls: map[fabric.NodeID]int{},
+	}
 	clk := NewSimClock()
 	lc.mems.Clock = clk
 	lc.mems.Probe = probe.probe
 
 	const interval = 50 * time.Millisecond
+	ticks := 0
 	advance := func(rounds int) {
 		// One extra tick so every counted round's ProbeOnce has finished
 		// (the +1th tick cannot be accepted before it does).
 		clk.Advance(time.Duration(rounds+1) * interval)
+		ticks += rounds + 1
 	}
+	settle := func(id fabric.NodeID) { probe.waitCalls(t, id, ticks) }
 	lc.mems.Start(interval)
 	defer lc.mems.Stop()
 
@@ -71,6 +102,7 @@ func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
 	}
 
 	// Down: the detector walks live → suspect → dead over missed rounds.
+	settle(1)
 	probe.set(1, true)
 	advance(2)
 	if st := lc.mems.State(1); st != resilience.MemberSuspect {
@@ -85,6 +117,7 @@ func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
 	}
 
 	// Draining pushback is not death.
+	settle(2)
 	probe.mu.Lock()
 	probe.drng[2] = true
 	probe.mu.Unlock()
@@ -94,6 +127,7 @@ func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
 	}
 
 	// Revival: one good probe round flips a dead member back to live.
+	settle(1)
 	probe.set(1, false)
 	advance(1)
 	if st := lc.mems.State(1); st != resilience.MemberLive {

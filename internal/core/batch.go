@@ -85,7 +85,8 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 		idx[i] = i
 	}
 	deadline := pends[0].deadline
-	for round := 0; len(idx) > 0; round++ {
+	for len(idx) > 0 {
+		seen := c.node.dev.Events().Gen()
 		q := t.pickQP()
 		chain := make([]*tcqNode, len(idx))
 		var last *tcqNode
@@ -103,7 +104,7 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 		verdicts := c.awaitBatch(t, q, chain)
 
 		var redo []int
-		sent, timedOut := false, false
+		sent, timedOut, migrated := false, false, false
 		for k, v := range verdicts {
 			i := idx[k]
 			switch v {
@@ -112,8 +113,9 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 				t.recordStat(len(ops[i].Payload))
 			case stateTimedOut:
 				timedOut = true
-				fallthrough
+				redo = append(redo, i)
 			case stateMigrate:
+				migrated = true
 				redo = append(redo, i)
 			default: // stateAborted
 				err := c.closedErr()
@@ -138,11 +140,15 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 			}
 			redo = nil
 		}
+		// Wait as a single submit does; a close while waiting aborts the
+		// next round.
+		if migrated {
+			t.awaitResubmit(stateMigrate, seen, deadline)
+		} else if timedOut {
+			t.awaitResubmit(stateTimedOut, seen, deadline)
+		}
 		for _, i := range redo {
 			nodes[i] = t.batchNode(ops[i], pends[i])
-		}
-		if len(redo) > 0 {
-			idleBackoff(round)
 		}
 		idx = redo
 	}

@@ -144,6 +144,16 @@ func (q *connQP) active() bool {
 	return !q.broken.Load() && !q.disabled.Load() && q.ctrl.Load64(ctrlActiveOff) == 1
 }
 
+// anyActive reports whether some QP of the connection is usable.
+func (c *Conn) anyActive() bool {
+	for _, q := range c.qps {
+		if q.active() {
+			return true
+		}
+	}
+	return false
+}
+
 // granted reports the total credits granted by the server.
 func (q *connQP) granted() uint64 { return q.ctrl.Load64(ctrlGrantedOff) }
 
@@ -345,6 +355,8 @@ func (c *Conn) fail(err error) {
 	if c.failed.Swap(true) {
 		return
 	}
+	// Threads parked waiting to re-submit must see the failure.
+	c.node.dev.Events().Signal()
 	poison := Response{Status: StatusConnClosed, err: err}
 	for _, t := range c.snapshotThreads() {
 		for _, rec := range t.pend.failMatching(-1, poison) {

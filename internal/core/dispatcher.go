@@ -28,16 +28,49 @@ func putLE64(b []byte, v uint64) {
 	b[7] = byte(v >> 56)
 }
 
-// idleBackoff cooperatively de-schedules a polling loop that found no
-// work: first yields, then sleeps briefly so idle nodes don't spin a core.
-func idleBackoff(idleRounds int) {
-	switch {
-	case idleRounds < 64:
+// pollSpins is how many Gosched rounds an idle poller spends watching the
+// device event count before it parks. Parking at once puts a wake-up on
+// the critical path of every request after a gap; long spins burn the CPU
+// that parking saves.
+const pollSpins = 4
+
+// wakeReason says why awaitEvent returned.
+type wakeReason int
+
+const (
+	wakeEvent wakeReason = iota // the device event count moved
+	wakeTick                    // the caller's tick channel fired
+	wakeStop                    // the stop channel closed
+)
+
+// awaitEvent is the idle rule of every core poller, applied after a pass
+// that found no work and began at device event generation seen: spin
+// pollSpins Gosched rounds watching only the event count, then park on w
+// until the device signals, tick fires (nil never does) or stop closes.
+// Because seen was sampled before the pass, anything placed after the
+// pass looked has moved the generation, so no work can be slept through.
+func (n *Node) awaitEvent(w *rnic.Waiter, seen uint64, tick <-chan time.Time, stop <-chan struct{}) wakeReason {
+	ev := n.dev.Events()
+	for i := 0; i < pollSpins; i++ {
 		runtime.Gosched()
-	case idleRounds < 1024:
-		time.Sleep(2 * time.Microsecond)
-	default:
-		time.Sleep(50 * time.Microsecond)
+		if ev.Gen() != seen {
+			return wakeEvent
+		}
+	}
+	if !w.Arm(seen) {
+		return wakeEvent
+	}
+	n.metrics.parks.Add(1)
+	select {
+	case <-w.C():
+		n.metrics.wakeups.Add(1)
+		return wakeEvent
+	case <-tick:
+		w.Disarm()
+		return wakeTick
+	case <-stop:
+		w.Disarm()
+		return wakeStop
 	}
 }
 
@@ -45,13 +78,15 @@ func idleBackoff(idleRounds int) {
 func (n *Node) clientDispatch() {
 	defer n.wg.Done()
 	var cqBuf [64]rnic.Completion
-	idle := 0
+	ev := n.dev.Events()
+	w := ev.NewWaiter()
 	for {
 		select {
 		case <-n.done:
 			return
 		default:
 		}
+		seen := ev.Gen()
 		busy := false
 		for _, c := range n.snapshotConns() {
 			for _, q := range c.qps {
@@ -95,11 +130,8 @@ func (n *Node) clientDispatch() {
 				q.polling.Add(-1)
 			}
 		}
-		if busy {
-			idle = 0
-		} else {
-			idle++
-			idleBackoff(idle)
+		if !busy && n.awaitEvent(w, seen, nil, n.done) == wakeStop {
+			return
 		}
 	}
 }

@@ -76,6 +76,21 @@ type pendingTable struct {
 	// every mutation happens under mu alongside the map it mirrors, the
 	// atomic only making lock-free reads possible.
 	inflight atomic.Int32
+	// gated is raised while the owner waits in gatePipeline; completions
+	// then send a token on slot (cap 1) after lowering inflight.
+	gated atomic.Bool
+	slot  chan struct{}
+}
+
+// freedLocked wakes a pipeline gate after inflight dropped; caller holds
+// mu.
+func (p *pendingTable) freedLocked() {
+	if p.gated.Load() {
+		select {
+		case p.slot <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // get returns a record ready to register, recycling from the freelist.
@@ -143,6 +158,7 @@ func (p *pendingTable) complete(seq uint64, r Response) (rec *callRec, mailbox b
 		return nil, false
 	}
 	p.inflight.Add(-1)
+	p.freedLocked()
 	if rec.mailbox {
 		delete(p.recs, seq)
 		p.mu.Unlock()
@@ -202,6 +218,7 @@ func (p *pendingTable) failMatching(qp int32, r Response) (mailbox []*callRec) {
 			continue
 		}
 		p.inflight.Add(-1)
+		p.freedLocked()
 		if rec.mailbox {
 			delete(p.recs, seq)
 			mailbox = append(mailbox, rec)

@@ -177,8 +177,10 @@ func (c *Conn) recycleQP(q *connQP) {
 	q.qp = qp
 	n.metrics.recycles.Add(1)
 	// Release edge: republish the recycled state to leaders and the
-	// dispatcher.
+	// dispatcher, and wake the pollers and threads parked while it was
+	// skipped.
 	q.broken.Store(false)
+	n.dev.Events().Signal()
 }
 
 // quarantine permanently retires a QP that broke more than FlapThreshold
@@ -246,6 +248,9 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 		return recycleReply{}, ErrNoSuchNode
 	}
 	sqp.broken.Store(true)
+	// A flusher parked on a full response ring must see broken and let go
+	// of respMu.
+	n.dev.Events().Signal()
 	for sqp.inuse.Load() != 0 {
 		select {
 		case <-n.done:
@@ -277,6 +282,7 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 	sqp.respProd.reset()
 	sqp.refresh.Store(false)
 	sqp.granted = uint64(n.opts.Credits)
+	sqp.declined = false
 	sqp.active.Store(true)
 	n.sconnMu.Lock()
 	sqp.qp = qp
@@ -284,6 +290,7 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 	n.sconnMu.Unlock()
 	n.metrics.recycles.Add(1)
 	sqp.broken.Store(false)
+	n.dev.Events().Signal()
 	return recycleReply{serverQPN: qp.QPN()}, nil
 }
 

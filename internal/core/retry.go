@@ -82,20 +82,30 @@ func (t *Thread) CallAsync(rpcID uint32, payload []byte, opts CallOptions) (*Pen
 }
 
 // gatePipeline blocks until the thread's pending-call table has room for
-// extra more submissions under Options.PipelineDepth. The wait spins with
-// the submit loop's backoff — depth-limited callers are by definition
-// waiting on their own earlier responses, which arrive on dispatcher
-// timescales.
+// extra more submissions under Options.PipelineDepth. Depth-limited
+// callers are by definition waiting on their own earlier responses, so
+// the wait parks on the table's slot token, which every completion sends
+// while a gate is waiting.
 func (t *Thread) gatePipeline(extra int) error {
 	limit := t.conn.node.opts.PipelineDepth
 	if limit <= 0 {
 		return nil
 	}
-	for i := 0; t.pend.depth()+extra > limit; i++ {
+	p := &t.pend
+	for p.depth()+extra > limit {
 		if t.conn.isClosed() {
 			return t.conn.closedErr()
 		}
-		idleBackoff(i)
+		// Raise the flag before re-checking: a completion that lands after
+		// the check then sees it and sends the token.
+		p.gated.Store(true)
+		if p.depth()+extra > limit {
+			select {
+			case <-p.slot:
+			case <-t.conn.closedCh():
+			}
+		}
+		p.gated.Store(false)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,10 +28,12 @@ type Thread struct {
 	idemSeq uint64 // idempotency-key counter for the resilient path
 	// pend is the thread's pending-call table: one completion record per
 	// submitted RPC, resolved directly by sequence ID (see pending.go).
-	pend   pendingTable
-	respCh chan Response
-	memCh  chan rnic.Status
+	pend    pendingTable
+	respCh  chan Response
+	memCh   chan rnic.Status
 	scratch *rnic.MemRegion
+	// wait parks the thread between re-submissions (awaitResubmit).
+	wait *rnic.Waiter
 
 	assigned atomic.Int32 // scheduler-written QP index
 	curQP    atomic.Int32 // QP in current use (recovery paths read it)
@@ -109,9 +112,11 @@ func (c *Conn) RegisterThread() *Thread {
 		respCh:  make(chan Response, c.node.opts.RespWindow),
 		memCh:   make(chan rnic.Status, 1),
 		scratch: scratch,
+		wait:    c.node.dev.Events().NewWaiter(),
 		median:  stats.NewRunningMedian(32),
 	}
 	t.pend.recs = make(map[uint64]*callRec)
+	t.pend.slot = make(chan struct{}, 1)
 	t.assigned.Store(int32(int(id) % len(c.qps)))
 	t.curQP.Store(t.assigned.Load())
 	t.avoidQP = -1
@@ -173,6 +178,28 @@ func (t *Thread) pickQP() *connQP {
 	}
 	t.curQP.Store(idx)
 	return q
+}
+
+// awaitResubmit waits before a submit loop re-submits after verdict v
+// (stateTimedOut or stateMigrate) in a round that began at device event
+// generation seen. A timed-out follower re-elects at once, and so does a
+// migrated one while some QP of the connection is usable — pickQP will
+// find it. With none usable the thread waits for what can make one usable
+// again — a server activation write, a recycle or a connection failure,
+// all of which move the event count — or for deadline (zero means none).
+// It reports false when the node closed.
+func (t *Thread) awaitResubmit(v uint32, seen uint64, deadline time.Time) bool {
+	if v == stateTimedOut || t.conn.anyActive() {
+		runtime.Gosched()
+		return true
+	}
+	var tick <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		tick = timer.C
+	}
+	return t.conn.node.awaitEvent(t.wait, seen, tick, t.conn.closedCh()) != wakeStop
 }
 
 // recordStat feeds the thread scheduler's inputs (§5.2): median request
@@ -246,7 +273,8 @@ func (t *Thread) sendAttempt(rpcID uint32, payload []byte, deadline time.Time, i
 	rec.seq = seq
 	depth := t.pend.register(rec)
 	c.node.pipeDepth.Observe(uint64(depth))
-	for i := 0; ; i++ {
+	for {
+		seen := c.node.dev.Events().Gen()
 		q := t.pickQP()
 		rec.qp.Store(int32(q.idx))
 		c.node.trace.Record(telemetry.EvEnqueue, q.idx, t.id, seq, uint64(len(payload)))
@@ -258,23 +286,26 @@ func (t *Thread) sendAttempt(rpcID uint32, payload []byte, deadline time.Time, i
 			idemKey:  idemKey,
 			payload:  payload,
 		}
-		switch c.submit(t, q, n) {
+		switch v := c.submit(t, q, n); v {
 		case stateSent:
 			t.avoidQP = -1
 			t.recordStat(len(payload))
 			return seq, nil
-		case stateTimedOut:
-			// Our leader stalled before claiming us: re-elect on another
-			// QP if one exists.
-			t.avoidQP = int32(q.idx)
-			fallthrough
-		case stateMigrate:
+		case stateTimedOut, stateMigrate:
+			if v == stateTimedOut {
+				// Our leader stalled before claiming us: re-elect on
+				// another QP if one exists.
+				t.avoidQP = int32(q.idx)
+			}
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				t.pend.abandon(rec)
 				return 0, ErrTimeout
 			}
-			idleBackoff(i)
-			continue // re-read assignment and retry (§5.2)
+			if !t.awaitResubmit(v, seen, deadline) {
+				t.pend.abandon(rec)
+				return 0, c.closedErr()
+			}
+			// re-read assignment and retry (§5.2)
 		default:
 			err := c.closedErr()
 			t.pend.abandon(rec)
@@ -424,7 +455,8 @@ func (t *Thread) memOp(wr rnic.SendWR, size int) (rnic.Status, error) {
 	if to := t.conn.node.opts.RPCTimeout; to > 0 {
 		deadline = time.Now().Add(to)
 	}
-	for i := 0; ; i++ {
+	for {
+		seen := t.conn.node.dev.Events().Gen()
 		q := t.pickQP()
 		n := &tcqNode{
 			kind:     opMem,
@@ -432,7 +464,7 @@ func (t *Thread) memOp(wr rnic.SendWR, size int) (rnic.Status, error) {
 			threadID: t.id,
 			wr:       wr,
 		}
-		switch t.conn.submit(t, q, n) {
+		switch v := t.conn.submit(t, q, n); v {
 		case stateSent:
 			t.avoidQP = -1
 			t.recordStat(size)
@@ -455,15 +487,16 @@ func (t *Thread) memOp(wr rnic.SendWR, size int) (rnic.Status, error) {
 			case <-t.conn.closedCh():
 				return rnic.StatusQPError, t.conn.closedErr()
 			}
-		case stateTimedOut:
-			t.avoidQP = int32(q.idx)
-			fallthrough
-		case stateMigrate:
+		case stateTimedOut, stateMigrate:
+			if v == stateTimedOut {
+				t.avoidQP = int32(q.idx)
+			}
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				return rnic.StatusQPError, ErrTimeout
 			}
-			idleBackoff(i)
-			continue
+			if !t.awaitResubmit(v, seen, deadline) {
+				return rnic.StatusQPError, t.conn.closedErr()
+			}
 		default:
 			return rnic.StatusQPError, t.conn.closedErr()
 		}

@@ -139,6 +139,7 @@ type Device struct {
 	drainScratch [drainBudget]SendWR
 
 	counters Counters
+	events   EventCount
 }
 
 // NewDevice creates a device, registers it on the fabric, and starts its
@@ -185,6 +186,10 @@ func (d *Device) Stats() Counters {
 	_, _, s.CacheEvictions = d.cache.stats()
 	return s
 }
+
+// Events returns the device's completion channel: the event count host
+// pollers park on (see EventCount for what signals it).
+func (d *Device) Events() *EventCount { return &d.events }
 
 // CacheStats returns the connection-context cache hit/miss counts and the
 // number of resident contexts.

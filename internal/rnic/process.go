@@ -82,18 +82,14 @@ func (d *Device) execute(q *QP, wr *SendWR) {
 	if q.transport == RC {
 		if !d.transmitRC(q, fabric.NodeID(dstNode), txBytes) {
 			d.counters.add(&d.counters.RCRetryExhausted, 1)
-			d.complete(q, wr, StatusRetryExceeded, 0)
-			q.enterError()
+			d.fail(q, wr, StatusRetryExceeded, 0)
 			return
 		}
 	}
 
 	peer, ok := d.fab.Lookup(fabric.NodeID(dstNode)).(*Device)
 	if peer == nil || !ok {
-		d.complete(q, wr, StatusRemoteAccess, 0)
-		if q.transport != UD {
-			q.enterError()
-		}
+		d.fail(q, wr, StatusRemoteAccess, 0)
 		return
 	}
 
@@ -115,12 +111,27 @@ func (d *Device) execute(q *QP, wr *SendWR) {
 		status = d.execAtomic(peer, wr)
 	}
 
-	if status != StatusOK && q.transport != UD {
-		// Fatal completions move connected QPs to the error state, like
-		// hardware; queued WRs behind the failure flush.
-		defer q.enterError()
+	if status != StatusOK {
+		d.fail(q, wr, status, byteLen)
+		return
 	}
 	d.complete(q, wr, status, byteLen)
+}
+
+// fail delivers wr's error completion. Fatal completions move connected
+// QPs to the error state, like hardware: the state changes before the
+// completion is visible, so a poller that sees the error also sees the
+// QP in error, and the WRs queued behind the failure flush after it.
+func (d *Device) fail(q *QP, wr *SendWR, status Status, byteLen int) {
+	if q.transport == UD {
+		d.complete(q, wr, status, byteLen)
+		return
+	}
+	q.mu.Lock()
+	q.state = qpError
+	q.mu.Unlock()
+	d.complete(q, wr, status, byteLen)
+	q.enterError()
 }
 
 // transmitRC models the requester side of RC reliability: each wire
@@ -211,6 +222,9 @@ func (d *Device) execWrite(peer *Device, dstQPN int, wr *SendWR, payload []byte)
 		return StatusRemoteAccess
 	}
 	mr.dmaWriteChunked(payload, wr.RemoteOff, d.fab.MTU())
+	// The payload is fully placed (and, for write-imm, its receive CQE
+	// pushed or the attempt failed): wake the responder's pollers.
+	defer peer.events.Signal()
 
 	if wr.Op == OpWriteImm {
 		dq := peer.QPByNumber(dstQPN)
@@ -295,6 +309,7 @@ func (d *Device) execSend(q *QP, peer *Device, dstQPN int, wr *SendWR, payload [
 			WRID: rwr.WRID, Status: StatusLenError, Opcode: OpRecv, QPN: dq.qpn,
 		})
 		peer.counters.add(&peer.counters.CompletionsDelivered, 1)
+		peer.events.Signal()
 		return StatusLenError
 	}
 	if rwr.MR != nil {
@@ -314,6 +329,7 @@ func (d *Device) execSend(q *QP, peer *Device, dstQPN int, wr *SendWR, payload [
 		SrcNode:  int(d.cfg.Node),
 		SrcQPN:   q.qpn,
 	})
+	peer.events.Signal()
 	return StatusOK
 }
 
@@ -387,6 +403,7 @@ func (d *Device) complete(q *QP, wr *SendWR, status Status, byteLen int) {
 		ByteLen: byteLen,
 		QPN:     q.qpn,
 	})
+	d.events.Signal()
 }
 
 // sourceQPN lets write-imm receivers learn the sender QP; connected

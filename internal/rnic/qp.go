@@ -325,6 +325,9 @@ func (q *QP) enterError() {
 			WRID: recvs[i].WRID, Status: StatusWRFlush, Opcode: OpRecv, QPN: q.qpn,
 		})
 	}
+	if len(sends)+len(recvs) > 0 {
+		q.dev.events.Signal()
+	}
 }
 
 // InError reports whether the QP is in the error state.

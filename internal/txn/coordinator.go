@@ -3,8 +3,12 @@ package txn
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"flock/internal/kvstore"
+	"flock/internal/resilience"
+	"flock/internal/stats"
 	"flock/internal/workload"
 )
 
@@ -26,6 +30,7 @@ type Transport interface {
 type Coordinator struct {
 	cfg Config
 	tr  Transport
+	rng *stats.RNG // abort-backoff jitter
 
 	// Commits and Aborts count outcomes.
 	Commits uint64
@@ -34,8 +39,12 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over a transport.
 func NewCoordinator(cfg Config, tr Transport) *Coordinator {
-	return &Coordinator{cfg: cfg.WithDefaults(), tr: tr}
+	seed := coordSeq.Add(1) * 0x9E3779B97F4A7C15
+	return &Coordinator{cfg: cfg.WithDefaults(), tr: tr, rng: stats.NewRNG(seed)}
 }
+
+// coordSeq gives every coordinator its own jitter stream.
+var coordSeq atomic.Uint64
 
 // partitionSets groups a transaction's keys by partition.
 type partitionSets struct {
@@ -246,8 +255,15 @@ func (c *Coordinator) abort(ps partitionSets, lockedParts []int) {
 	c.Aborts++
 }
 
-// RunRetry runs t, retrying OCC aborts up to maxRetries; it returns the
-// number of attempts made and the final error (nil on commit).
+// abortBackoff spaces OCC retries. Coordinators that abort each other on
+// overlapping keys and retry at once collide again, and under CPU
+// contention they can livelock until one runs out of retries; a
+// full-jitter delay after every abort breaks the symmetry.
+var abortBackoff = resilience.Backoff{Base: 4 * time.Microsecond, Cap: 512 * time.Microsecond}
+
+// RunRetry runs t, retrying OCC aborts up to maxRetries after a
+// full-jitter backoff; it returns the number of attempts made and the
+// final error (nil on commit).
 func (c *Coordinator) RunRetry(t *workload.Txn, maxRetries int) (int, error) {
 	for attempt := 1; ; attempt++ {
 		err := c.Run(t)
@@ -256,6 +272,9 @@ func (c *Coordinator) RunRetry(t *workload.Txn, maxRetries int) (int, error) {
 		}
 		if err != ErrAborted || attempt > maxRetries {
 			return attempt, err
+		}
+		if d := abortBackoff.Delay(attempt-1, c.rng); d > 0 {
+			time.Sleep(d)
 		}
 	}
 }
