@@ -323,6 +323,31 @@ func TestRingWrapUnderLoad(t *testing.T) {
 	}
 }
 
+// TestReactivationGrantHonoursWatermark re-activates a QP that declined a
+// renewal while inactive, with admitted work past half the admission
+// limit: the catch-up grant answers that renewal like handleRenewal
+// would, halved by the credit watermark.
+func TestReactivationGrantHonoursWatermark(t *testing.T) {
+	tc, _, _ := parkedEchoCluster(t, Options{Credits: 8, AdmissionLimit: 4, SchedInterval: time.Hour})
+	n := tc.server
+	sqp := n.snapshotSconns()[0].qps[0]
+	before, m := sqp.granted, n.Metrics()
+	sqp.declined = true
+	n.inflight.Add(2)
+	n.activate(sqp)
+	n.inflight.Add(-2)
+	if got := sqp.granted - before; got != 4 {
+		t.Fatalf("catch-up grant %d credits, want 4 (half of 8)", got)
+	}
+	after := n.Metrics()
+	if w := after.CreditWithheld - m.CreditWithheld; w != 4 {
+		t.Fatalf("credit_withheld +%d, want +4", w)
+	}
+	if after.CreditRenewals != m.CreditRenewals+1 {
+		t.Fatalf("renewals %d -> %d, want one more", m.CreditRenewals, after.CreditRenewals)
+	}
+}
+
 func TestQPSchedulerDeactivatesUnderBudget(t *testing.T) {
 	// 4 clients × 4 QPs = 16 QPs against MaxActiveQPs = 8: after traffic
 	// flows, the scheduler must keep at most 8 active.

@@ -503,3 +503,48 @@ func TestOverloadChaos(t *testing.T) {
 	th := conns[0].RegisterThread()
 	callUntilOK(t, th, []byte("post-chaos"))
 }
+
+// TestDrainWaitsOutSlowHandler drains a server whose only admitted request
+// is held inside its handler well past the drain's yield rounds: Drain
+// must respect its ctx while the handler runs and return nil once it
+// finishes.
+func TestDrainWaitsOutSlowHandler(t *testing.T) {
+	opts := Options{Workers: 1, QPsPerConn: 1}
+	tc := newTestCluster(t, 1, opts, opts)
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	tc.server.RegisterHandler(echoID, func(req []byte) []byte {
+		entered <- struct{}{}
+		<-release
+		return append([]byte(nil), req...)
+	})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+	called := make(chan error, 1)
+	go func() {
+		r, err := th.CallWithDeadline(echoID, []byte("slow"), chaosDeadline)
+		if err == nil {
+			r.Release()
+		}
+		called <- err
+	}()
+	<-entered
+
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := tc.server.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with a handler still running: %v, want deadline exceeded", err)
+	}
+	time.AfterFunc(20*time.Millisecond, func() { close(release) })
+	ctx, cancel2 := context.WithTimeout(context.Background(), chaosDeadline)
+	defer cancel2()
+	if err := tc.server.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if err := <-called; err != nil {
+		t.Fatalf("call admitted before the drain: %v", err)
+	}
+}
