@@ -44,7 +44,8 @@ func ExampleThread_FetchAdd() {
 }
 
 // ExampleThread_SendRPC shows pipelined asynchronous requests: several in
-// flight, responses matched by sequence ID.
+// flight, RecvRes returning each as it completes, responses matched by
+// sequence ID.
 func ExampleThread_SendRPC() {
 	net := flock.NewNetwork(flock.FabricConfig{})
 	defer net.Close()

@@ -324,9 +324,9 @@ func (c *Conn) isClosed() bool {
 }
 
 // Close tears down the connection handle: subsequent operations return
-// ErrClosed, threads blocked in RecvRes are released once the node's
-// dispatcher notices, and the handle is removed from the node's dispatch
-// set. Server-side resources are reclaimed when the server node closes
+// ErrClosed, threads blocked in a call or RecvRes are released with
+// ErrConnClosed, and the handle is removed from the node's dispatch set.
+// Server-side resources are reclaimed when the server node closes
 // (connection-level teardown messages are future work, as in the paper's
 // prototype).
 func (c *Conn) Close() {
@@ -345,10 +345,10 @@ func (c *Conn) Close() {
 
 // fail marks the connection fatally failed and releases every waiter with
 // a typed poison response: all pending-call records (whatever QP they rode)
-// are completed with the closure, mailbox waiters get a wakeup on the
-// response channel, and parked memory operations a QP-error status. The
-// cause is recorded before the failed flag is published, so closedErr
-// never observes the flag without it.
+// are completed with the closure, a RecvRes parked with nothing
+// outstanding gets a slot token, and parked memory operations a QP-error
+// status. The cause is recorded before the failed flag is published, so
+// closedErr never observes the flag without it.
 func (c *Conn) fail(err error) {
 	cause := err
 	c.failErr.CompareAndSwap(nil, &cause)
@@ -359,17 +359,11 @@ func (c *Conn) fail(err error) {
 	c.node.dev.Events().Signal()
 	poison := Response{Status: StatusConnClosed, err: err}
 	for _, t := range c.snapshotThreads() {
-		for _, rec := range t.pend.failMatching(-1, poison) {
-			select {
-			case t.respCh <- poison:
-			default:
-			}
-			t.pend.put(rec)
-		}
-		// Wake RecvRes blockers with no pending record (the pre-table
-		// contract: closure always surfaces on the response channel).
+		t.pend.failMatching(-1, poison)
+		// Wake a RecvRes with nothing outstanding: no record completes for
+		// it, so it re-checks isClosed on this token.
 		select {
-		case t.respCh <- poison:
+		case t.pend.slot <- struct{}{}:
 		default:
 		}
 		select {

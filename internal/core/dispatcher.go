@@ -143,8 +143,6 @@ func (n *Node) clientDispatch() {
 // the close-time drain); a miss means the attempt was abandoned — the
 // response is stale and its reference dropped right here, which is the
 // whole stale-response policy (no per-caller drop heuristics remain).
-// Mailbox records (the SendRPC/RecvRes surface) are delivered into the
-// thread's response channel instead.
 func (c *Conn) deliverResponse(it *decodedItem, mbuf *mem.Buf) {
 	t := c.thread(it.meta.threadID)
 	if t == nil {
@@ -160,38 +158,10 @@ func (c *Conn) deliverResponse(it *decodedItem, mbuf *mem.Buf) {
 		buf:    mbuf,
 		trace:  c.node.trace,
 	}
-	rec, mailbox := t.pend.complete(it.meta.seqID, r)
-	if rec == nil {
+	if !t.pend.complete(it.meta.seqID, r) {
 		c.node.metrics.staleDrops.Add(1)
 		r.Release()
-		return
 	}
-	if !mailbox {
-		return // token sent under the table lock; the waiter owns r now
-	}
-	// The dispatcher must never block on a mailbox: a RecvRes caller that
-	// walked away stops draining, and its late responses would otherwise
-	// fill the channel and wedge delivery for every other thread on the
-	// node. A full mailbox holds only abandoned responses (a thread has at
-	// most RespWindow live operations), so the oldest entry is evicted to
-	// make room for the fresh one — and its buffer lease recycled.
-	for i := 0; i < 2; i++ {
-		select {
-		case t.respCh <- r:
-			t.pend.put(rec)
-			return
-		default:
-		}
-		select {
-		case ev := <-t.respCh:
-			ev.Release()
-		default:
-		}
-	}
-	// Still full (a concurrent poisoner keeps winning the slot): drop the
-	// response; the caller's deadline retry re-issues the request.
-	r.Release()
-	t.pend.put(rec)
 }
 
 // routeSendCompletion demultiplexes one send-side completion by wr_id tag

@@ -156,7 +156,6 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 			count:     uint32(len(rpc)),
 			canary:    canary,
 			piggyHead: q.ctrl.Load64(ctrlRespHeadOff),
-			flags:     flagItemMetaV2,
 		})
 		q.reqStaging.WriteAt(hdr[:], res.msgOff) //nolint:errcheck
 

@@ -295,8 +295,8 @@ type Node struct {
 	conns     []*Conn
 	connsSnap atomic.Value // []*Conn snapshot for the dispatch loop
 	allConns  []*Conn      // every conn ever opened, kept for the
-	// Close-time mailbox drain (Conn.Close prunes conns but leases may
-	// still sit in closed handles' mailboxes)
+	// Close-time drain (Conn.Close prunes conns but leases may still sit
+	// in closed handles' pending-call tables)
 	clientState atomic.Bool // client goroutines started
 
 	// Named regions exported for remote one-sided access.
@@ -709,11 +709,11 @@ func (n *Node) quiescent() bool {
 	return true
 }
 
-// drainLeases recycles pooled buffers still parked in mailboxes and the
-// worker channel at shutdown. It runs after wg.Wait — dispatchers and
-// workers are gone, so nothing refills what it drains. Application threads
-// may still race a concurrent RecvRes; the channel hands each Response to
-// exactly one receiver, so no lease is released twice.
+// drainLeases recycles pooled buffers still parked in pending-call tables
+// and the worker channel at shutdown. It runs after wg.Wait — dispatchers
+// and workers are gone, so nothing refills what it drains. Application
+// threads may still race a concurrent waiter; the record token hands each
+// Response to exactly one party, so no lease is released twice.
 func (n *Node) drainLeases() {
 	n.connMu.Lock()
 	all := make([]*Conn, len(n.allConns))
@@ -721,14 +721,6 @@ func (n *Node) drainLeases() {
 	n.connMu.Unlock()
 	for _, c := range all {
 		for _, t := range c.snapshotThreads() {
-			for more := true; more; {
-				select {
-				case r := <-t.respCh:
-					r.Release()
-				default:
-					more = false
-				}
-			}
 			// Completed pending-table records no waiter claimed still hold
 			// their response leases; unwaited Pendings park here.
 			t.pend.drain()

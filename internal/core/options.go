@@ -36,8 +36,6 @@ const (
 	// leader batch of maximum payloads still fits twice in the default
 	// ring (the geometry NewNode validates).
 	DefaultMaxPayload = 16 << 10
-	// DefaultRespWindow bounds outstanding responses buffered per thread.
-	DefaultRespWindow = 64
 	// DefaultSignalEvery applies selective signaling (§7): one signaled
 	// write per this many posted messages.
 	DefaultSignalEvery = 16
@@ -104,8 +102,6 @@ type Options struct {
 	RingBytes int
 	// MaxPayload bounds a single request or response payload. Default 16 KiB.
 	MaxPayload int
-	// RespWindow bounds buffered responses per thread. Default 64.
-	RespWindow int
 	// SignalEvery is the selective-signaling period. 1 signals every
 	// message. Default 16.
 	SignalEvery int
@@ -226,9 +222,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPayload <= 0 {
 		o.MaxPayload = DefaultMaxPayload
-	}
-	if o.RespWindow <= 0 {
-		o.RespWindow = DefaultRespWindow
 	}
 	if o.SignalEvery <= 0 {
 		o.SignalEvery = DefaultSignalEvery

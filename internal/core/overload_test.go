@@ -109,46 +109,47 @@ func TestDedupSingleExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := conn.RegisterThread()
-	deadline := time.Now().Add(chaosDeadline)
 	const key = 42
+	// Raw attempts carrying the key: the engine's plans would turn the
+	// NACK into ErrOverloaded, and these assertions need the wire status.
+	send := func() *callRec {
+		rec := th.pend.get()
+		if _, err := th.sendAttempt(countID, []byte("dup"), time.Now().Add(chaosDeadline), key, rec); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	recv := func(rec *callRec) Response {
+		select {
+		case <-rec.ch:
+		case <-time.After(chaosDeadline):
+			t.Fatalf("seq %d: no response", rec.seq)
+		}
+		return th.pend.takeDone(rec)
+	}
 
-	seqA, err := th.sendRPCKey(countID, []byte("dup"), deadline, key)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recA := send()
+	seqA := recA.seq
 	<-entered // the original is executing and holds the dedup reservation
-	seqB, err := th.sendRPCKey(countID, []byte("dup"), deadline, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rB, err := th.RecvRes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recB := send()
+	seqB := recB.seq
+	rB := recv(recB)
 	if rB.Seq != seqB || rB.Status != StatusOverloaded {
 		t.Fatalf("racing duplicate: seq=%d status=%d, want seq=%d StatusOverloaded", rB.Seq, rB.Status, seqB)
 	}
 	rB.Release()
 
 	close(release)
-	rA, err := th.RecvRes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rA := recv(recA)
 	if rA.Seq != seqA || rA.Status != StatusOK {
 		t.Fatalf("original: seq=%d status=%d, want seq=%d StatusOK", rA.Seq, rA.Status, seqA)
 	}
 	want := append([]byte(nil), rA.Data...)
 	rA.Release()
 
-	seqC, err := th.sendRPCKey(countID, []byte("dup"), time.Now().Add(chaosDeadline), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rC, err := th.RecvRes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recC := send()
+	seqC := recC.seq
+	rC := recv(recC)
 	if rC.Seq != seqC || rC.Status != StatusOK {
 		t.Fatalf("late duplicate: seq=%d status=%d, want seq=%d StatusOK", rC.Seq, rC.Status, seqC)
 	}
@@ -203,9 +204,9 @@ func TestHedgedRequestWins(t *testing.T) {
 		t.Fatalf("hedges=%d won=%d, want 1/1", m.Hedges, m.HedgesWon)
 	}
 
-	// Wait for the straggler's response to land in the mailbox, then sweep
-	// it with a plain call — its recv loop drops stale responses — so the
-	// lease is back in the pool before the leak gate runs.
+	// The straggler's late response finds no record and is dropped as
+	// stale, releasing its lease; a plain call afterwards proves the thread
+	// is clean before the leak gate runs.
 	waitFor(t, "straggler response delivery", func() bool { return th.Outstanding() == 0 })
 	if err := callDrop(th, laggyID, []byte("sweep")); err != nil {
 		t.Fatalf("sweep call: %v", err)

@@ -13,7 +13,8 @@ import (
 // pending-call table in which every submitted RPC owns a completion record
 // the dispatcher completes directly by sequence ID, and one attempt engine
 // (Pending) that every public entry point — Call, CallWithDeadline,
-// CallOpts, CallAsync, SendBatch — parameterizes instead of reimplementing.
+// CallOpts, CallAsync, SendBatch, SendRPC — parameterizes instead of
+// reimplementing.
 // The table replaces the old per-thread response channel scan: responses
 // are routed to their exact caller, so synchronous and asynchronous calls
 // interleave freely on one thread, stale responses are dropped at the
@@ -35,9 +36,9 @@ import (
 //     tokens no waiter has claimed, so leases held by unwaited Pendings
 //     never outlive the node.
 //
-// Records for the legacy SendRPC/RecvRes surface are flagged mailbox: the
-// completer removes them itself and delivers into the thread's response
-// channel, keeping that API's ordering contract intact.
+// A completer sends the record's token before the table's slot token, both
+// under the lock: an owner woken by the slot (gatePipeline, RecvRes) then
+// always finds the record token it is looking for.
 
 // callRec is one entry in a thread's pending-call table: the completion
 // future for a single submitted attempt.
@@ -48,10 +49,7 @@ type callRec struct {
 	// recovery reads it under the lock, hence atomic.
 	qp   atomic.Int32
 	done bool // completed; resp valid and token sent (guarded by table mu)
-	// mailbox routes completion into the thread's legacy response channel
-	// (SendRPC/RecvRes) instead of the token protocol.
-	mailbox bool
-	resp    Response
+	resp Response
 	// ch carries the completion token. Capacity one and reused across
 	// recycles; the ownership protocol guarantees at most one send per
 	// table residence and that it is drained before reuse.
@@ -76,14 +74,15 @@ type pendingTable struct {
 	// every mutation happens under mu alongside the map it mirrors, the
 	// atomic only making lock-free reads possible.
 	inflight atomic.Int32
-	// gated is raised while the owner waits in gatePipeline; completions
-	// then send a token on slot (cap 1) after lowering inflight.
+	// gated is raised while the owner waits in gatePipeline or RecvRes;
+	// completions then send a token on slot (cap 1) after lowering
+	// inflight and sending the record's token.
 	gated atomic.Bool
 	slot  chan struct{}
 }
 
-// freedLocked wakes a pipeline gate after inflight dropped; caller holds
-// mu.
+// freedLocked wakes a gated owner after inflight dropped and the record's
+// token was sent; caller holds mu.
 func (p *pendingTable) freedLocked() {
 	if p.gated.Load() {
 		select {
@@ -107,7 +106,6 @@ func (p *pendingTable) get() *callRec {
 	}
 	r.qp.Store(-1)
 	r.done = false
-	r.mailbox = false
 	select {
 	case <-r.ch:
 		panic("flock: recycled callRec holds a stale completion token")
@@ -146,29 +144,23 @@ func (p *pendingTable) recycleLocked(rec *callRec) {
 
 // complete resolves the record registered under seq with r. It reports
 // whether a record was found (a miss means the response is stale — its
-// attempt was abandoned — and the caller drops it). Mailbox records are
-// removed and returned for channel delivery; table records are marked done
-// with the token sent under the lock, so any later observer holding the
-// lock sees the token as already present.
-func (p *pendingTable) complete(seq uint64, r Response) (rec *callRec, mailbox bool) {
+// attempt was abandoned — and the caller drops it). The record is marked
+// done with the token sent under the lock, so any later observer holding
+// the lock sees the token as already present.
+func (p *pendingTable) complete(seq uint64, r Response) bool {
 	p.mu.Lock()
-	rec = p.recs[seq]
+	rec := p.recs[seq]
 	if rec == nil || rec.done {
 		p.mu.Unlock()
-		return nil, false
+		return false
 	}
 	p.inflight.Add(-1)
-	p.freedLocked()
-	if rec.mailbox {
-		delete(p.recs, seq)
-		p.mu.Unlock()
-		return rec, true
-	}
 	rec.done = true
 	rec.resp = r
 	rec.ch <- struct{}{}
+	p.freedLocked()
 	p.mu.Unlock()
-	return rec, false
+	return true
 }
 
 // takeDone removes a record whose token the caller just consumed and
@@ -207,29 +199,22 @@ func (p *pendingTable) abandon(rec *callRec) {
 }
 
 // failMatching completes every record riding QP qp (all records when qp is
-// negative) with the poison response r. Mailbox records are returned for
-// channel delivery outside the lock. This is how recovery's poison burst
-// is sized from the table: exactly the in-flight attempts on the broken
-// QP, not a thread-wide counter that may have drifted.
-func (p *pendingTable) failMatching(qp int32, r Response) (mailbox []*callRec) {
+// negative) with the poison response r. This is how recovery's poison
+// burst is sized from the table: exactly the in-flight attempts on the
+// broken QP, not a thread-wide counter that may have drifted.
+func (p *pendingTable) failMatching(qp int32, r Response) {
 	p.mu.Lock()
-	for seq, rec := range p.recs {
+	for _, rec := range p.recs {
 		if rec.done || (qp >= 0 && rec.qp.Load() != qp) {
 			continue
 		}
 		p.inflight.Add(-1)
-		p.freedLocked()
-		if rec.mailbox {
-			delete(p.recs, seq)
-			mailbox = append(mailbox, rec)
-			continue
-		}
 		rec.done = true
 		rec.resp = r
 		rec.ch <- struct{}{}
+		p.freedLocked()
 	}
 	p.mu.Unlock()
-	return mailbox
 }
 
 // drain releases the pooled leases of completed records no waiter has

@@ -20,37 +20,119 @@ import (
 // package leak gate (TestMain) asserts zero outstanding leases after
 // every test here.
 
-// TestRecvResCloseDrainSkipsPoison pins the close-drain contract: a
-// response buffer holding [QP poison, real response] at node closure must
-// surface the real response (and its pooled lease) to the caller, and
-// report closure only once the buffer holds nothing real.
+// TestRecvResCloseDrainSkipsPoison pins the close-drain contract: when a
+// connection closes holding a poisoned SendRPC and a delivered real
+// response, RecvRes surfaces the poison exactly once and the real response
+// (with its pooled lease), and reports closure only after both.
 func TestRecvResCloseDrainSkipsPoison(t *testing.T) {
-	tc := newTestCluster(t, 1, Options{}, Options{})
+	const heldID = 24
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
 	registerEcho(tc.server)
+	tc.server.RegisterHandler(heldID, func(req []byte) []byte {
+		close(entered)
+		<-release
+		return nil
+	})
+	defer close(release)
 	conn, err := tc.clients[0].Connect(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	th := conn.RegisterThread()
 
-	// A recovery poison lands ahead of a delivered response in the
-	// mailbox, the ordering the pre-table drain lost responses to.
-	th.respCh <- Response{err: ErrQPBroken}
+	// The held call is poisoned by recovery while its QP breaks; the echo
+	// sent afterwards is delivered for real.
+	if _, err := th.SendRPC(heldID, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	conn.failInflight(conn.qps[th.curQP.Load()], ErrQPBroken)
 	if _, err := th.SendRPC(echoID, []byte("survivor")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "echo delivery behind the poison", func() bool { return len(th.respCh) == 2 })
+	waitFor(t, "echo delivery beside the poison", func() bool { return th.Outstanding() == 0 })
+	conn.Close()
 
-	r, err := th.recvDrainClosed()
-	if err != nil {
-		t.Fatalf("close drain surfaced %v before the buffered real response", err)
+	var poisoned, echoed int
+	for i := 0; i < 2; i++ {
+		r, err := th.RecvRes()
+		switch {
+		case err == ErrQPBroken:
+			poisoned++
+		case err != nil:
+			t.Fatalf("RecvRes %d surfaced %v before the completed requests", i, err)
+		case bytes.Equal(r.Data, []byte("survivor")):
+			echoed++
+			r.Release()
+		default:
+			t.Fatalf("RecvRes %d returned %q, want the real echo", i, r.Data)
+		}
 	}
-	if !bytes.Equal(r.Data, []byte("survivor")) {
-		t.Fatalf("close drain returned %q, want the real echo", r.Data)
+	if poisoned != 1 || echoed != 1 {
+		t.Fatalf("got %d poisons and %d echoes, want one of each", poisoned, echoed)
+	}
+	if _, err := th.RecvRes(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("drained-empty close path: %v, want ErrClosed", err)
+	}
+}
+
+// TestRecvResCompletionOrder pins RecvRes's ordering and plan: responses
+// come back as requests complete, not in submission order, and SendRPC
+// makes a single unbounded attempt even with Options.RPCTimeout set, so a
+// call held past the timeout still answers under the sequence ID SendRPC
+// returned.
+func TestRecvResCompletionOrder(t *testing.T) {
+	const heldID = 25
+	const rpcTimeout = 10 * time.Millisecond
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{RPCTimeout: rpcTimeout})
+	registerEcho(tc.server)
+	tc.server.RegisterHandler(heldID, func(req []byte) []byte {
+		close(entered)
+		<-release
+		return []byte("held")
+	})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+
+	seqHeld, err := th.SendRPC(heldID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	seqEcho, err := th.SendRPC(echoID, []byte("first-back"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := th.RecvRes()
+	if err != nil || r.Seq != seqEcho || !bytes.Equal(r.Data, []byte("first-back")) {
+		t.Fatalf("first RecvRes: seq=%d %q %v, want the echo (seq %d)", r.Seq, r.Data, err, seqEcho)
 	}
 	r.Release()
-	if _, err := th.recvDrainClosed(); err != ErrClosed {
-		t.Fatalf("drained-empty close path: %v, want ErrClosed", err)
+	if n := th.Outstanding(); n != 1 {
+		t.Fatalf("held call not outstanding after the echo returned: %d", n)
+	}
+
+	// Hold well past the attempt wait an RPCTimeout plan would use: a
+	// resubmission would answer under a fresh sequence ID.
+	time.Sleep(5 * rpcTimeout)
+	unblock()
+	r, err = th.RecvRes()
+	if err != nil || r.Seq != seqHeld || !bytes.Equal(r.Data, []byte("held")) {
+		t.Fatalf("second RecvRes: seq=%d %q %v, want the held call (seq %d)", r.Seq, r.Data, err, seqHeld)
+	}
+	r.Release()
+	if m := tc.server.Metrics(); m.ItemsIn != 2 {
+		t.Fatalf("server saw %d requests, want 2 (no resubmission)", m.ItemsIn)
 	}
 }
 
@@ -168,9 +250,9 @@ func TestOverloadAbandonAccountingRace(t *testing.T) {
 // TestCallInterleavesWithAsync drives a mixed workload on one thread — a
 // window of CallAsync futures with synchronous Calls issued between them —
 // over a seeded lossy fabric, and asserts every response routes to exactly
-// the request that owns it. Under the old respCh scan this interleaving
-// was a documented footgun; the completion table must make it correct by
-// construction.
+// the request that owns it. Under the old response-channel scan this
+// interleaving was a documented footgun; the completion table must make it
+// correct by construction.
 func TestCallInterleavesWithAsync(t *testing.T) {
 	sOpts := Options{Workers: 4}
 	cOpts := Options{

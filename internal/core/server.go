@@ -537,7 +537,6 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
 		count:     uint32(len(out)),
 		canary:    canary,
 		piggyHead: sqp.reqCons.consumed(),
-		flags:     flagItemMetaV2,
 	})
 	staging.WriteAt(hdr[:], res.msgOff) //nolint:errcheck
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +29,9 @@ type Thread struct {
 	idemSeq uint64 // idempotency-key counter for the resilient path
 	// pend is the thread's pending-call table: one completion record per
 	// submitted RPC, resolved directly by sequence ID (see pending.go).
-	pend    pendingTable
-	respCh  chan Response
+	pend pendingTable
+	// sent holds the SendRPC calls RecvRes has not yet returned.
+	sent    []*Pending
 	memCh   chan rnic.Status
 	scratch *rnic.MemRegion
 	// wait parks the thread between re-submissions (awaitResubmit).
@@ -109,7 +111,6 @@ func (c *Conn) RegisterThread() *Thread {
 		conn:    c,
 		id:      id,
 		rng:     stats.NewRNG(c.node.opts.Seed*0x9E3779B9 + uint64(id) + uint64(c.remote)<<32 + 1),
-		respCh:  make(chan Response, c.node.opts.RespWindow),
 		memCh:   make(chan rnic.Status, 1),
 		scratch: scratch,
 		wait:    c.node.dev.Events().NewWaiter(),
@@ -232,23 +233,24 @@ func (t *Thread) takeStat() (ThreadStat, bool) {
 
 // SendRPC submits an RPC request (fl_send_rpc) and returns its sequence
 // ID. The request is coalesced with concurrent threads' requests via
-// FLock synchronization; the response arrives through RecvRes. SendRPC
-// registers a mailbox-mode completion record, so its responses keep
-// flowing through the thread's response channel while table-routed calls
-// (Call, CallAsync, SendBatch) interleave freely on the same thread.
+// FLock synchronization; the response arrives through RecvRes. SendRPC is
+// a Pending with the plan of a plain Call without Options.RPCTimeout — one
+// unbounded attempt, so the returned sequence ID is the one the response
+// echoes — and interleaves freely with Call, CallAsync and SendBatch on
+// the same thread. A response RecvRes never collects keeps its pooled
+// buffer until the node closes, like an unwaited CallAsync.
 func (t *Thread) SendRPC(rpcID uint32, payload []byte) (uint64, error) {
-	return t.sendRPCKey(rpcID, payload, time.Time{}, 0)
-}
-
-// sendRPCKey is SendRPC with a submit-loop deadline and an idempotency key
-// in the wire metadata.
-func (t *Thread) sendRPCKey(rpcID uint32, payload []byte, deadline time.Time, idemKey uint64) (uint64, error) {
-	if len(payload) > t.conn.node.opts.MaxPayload {
-		return 0, ErrPayloadTooLarge
+	p := new(Pending)
+	// A negative budget opts out of Options.RPCTimeout.
+	if err := t.newPending(p, rpcID, payload, CallOptions{Budget: -1}, false); err != nil {
+		return 0, err
 	}
-	rec := t.pend.get()
-	rec.mailbox = true
-	return t.sendAttempt(rpcID, payload, deadline, idemKey, rec)
+	p.startAttempt(true)
+	if p.phase == pendDone {
+		return 0, p.err
+	}
+	t.sent = append(t.sent, p)
+	return p.rec.seq, nil
 }
 
 // sendAttempt registers rec in the pending-call table and submits one
@@ -340,51 +342,35 @@ func pushbackErr(status uint32) error {
 	return nil
 }
 
-// RecvRes blocks until the next RPC response for this thread arrives
-// (fl_recv_res). Responses may arrive in any order when multiple requests
-// are outstanding; match them by Response.Seq. Poison responses injected
-// by recovery surface as typed errors: ErrQPBroken for in-flight requests
-// lost to a broken QP (retry at the caller's discretion), ErrConnClosed
-// when the handle is closed.
+// RecvRes blocks until one of the thread's SendRPC requests completes and
+// returns it (fl_recv_res). Requests complete in any order when several
+// are outstanding; match responses by Response.Seq. Failures surface as
+// typed errors: ErrQPBroken for a request lost to a broken QP (retry at
+// the caller's discretion), ErrConnClosed when the handle is closed. A
+// completed request is returned even after closure; with none left,
+// RecvRes blocks until the connection or node closes and reports why.
 func (t *Thread) RecvRes() (Response, error) {
-	select {
-	case r := <-t.respCh:
-		if r.err != nil {
-			return Response{}, r.err
-		}
-		if r.Status == StatusConnClosed {
-			return Response{}, ErrConnClosed
-		}
-		return r, nil
-	case <-t.conn.closedCh():
-		return t.recvDrainClosed()
-	}
-}
-
-// recvDrainClosed is RecvRes's closed-node path: drain everything already
-// delivered before reporting closure. Poison and closed-markers carry no
-// payload, but real responses in the buffer hold pooled leases — return
-// the first real one to the caller and let the rest surface on later
-// RecvRes calls. Without the loop a buffer holding [poison, real] would
-// lose the real response behind a single drained poison.
-func (t *Thread) recvDrainClosed() (Response, error) {
+	p := &t.pend
+	defer p.gated.Store(false)
 	for {
+		for i, s := range t.sent {
+			if s.Done() {
+				t.sent = slices.Delete(t.sent, i, i+1)
+				return s.Wait()
+			}
+		}
+		if t.conn.isClosed() {
+			return Response{}, t.conn.closedErr()
+		}
+		if !p.gated.Load() {
+			// Raise the flag, then scan again: a completion landing after
+			// the scan above now sends the slot token.
+			p.gated.Store(true)
+			continue
+		}
 		select {
-		case r := <-t.respCh:
-			if r.err != nil {
-				if r.err == ErrQPBroken {
-					// Recovery poison racing close; keep draining for a
-					// real buffered response before surfacing closure.
-					continue
-				}
-				return Response{}, r.err
-			}
-			if r.Status == StatusConnClosed {
-				continue
-			}
-			return r, nil
-		default:
-			return Response{}, ErrClosed
+		case <-p.slot:
+		case <-t.conn.closedCh():
 		}
 	}
 }

@@ -213,6 +213,54 @@ func TestParkedFlusherWakesOnRoutedRefresh(t *testing.T) {
 	}
 }
 
+// TestParkedRecvResWakesOnCompletion keeps eight SendRPCs outstanding
+// against a worker-mode server whose handler yields, so completions land
+// while RecvRes scans, raises its flag or parks on the table's slot token.
+// A completer that sent the slot token before the record's token would
+// lose a wake-up here: RecvRes would wake, find no record token, and park
+// again with nothing left to wake it.
+func TestParkedRecvResWakesOnCompletion(t *testing.T) {
+	const yieldID, window, rounds = 31, 8, 10000
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
+	tc.server.RegisterHandler(yieldID, func(req []byte) []byte {
+		runtime.Gosched()
+		return req
+	})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+	// The window is a few instructions wide, so many rounds are needed to
+	// hit it; the time cap keeps race-detector runs short.
+	start := time.Now()
+	for r := 0; r < rounds && time.Since(start) < time.Second; r++ {
+		for k := 0; k < window; k++ {
+			if _, err := th.SendRPC(yieldID, []byte("wake")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan error, 1)
+		go func() {
+			for k := 0; k < window; k++ {
+				if err := recvDrop(th); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: RecvRes missed a completion (%d still in flight)", r, th.Outstanding())
+		}
+	}
+}
+
 func TestCloseWhileParkedExitsPollers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	nw := NewNetwork(fabric.Config{})

@@ -20,7 +20,7 @@ import (
 //	  +8  seqID    uint64  thread-local monotonically increasing (§4.1)
 //	  +16 rpcID    uint32  handler ID (requests) / echoed (responses)
 //	  +20 status   uint32  response status
-//	  +24 idemKey  uint64  idempotency key; 0 = not idempotent (v2 only)
+//	  +24 idemKey  uint64  idempotency key; 0 = not idempotent
 //	trailer (8 B): canary uint64
 //
 // The receiver polls the first word at its Head; a nonzero totalLen with
@@ -28,21 +28,11 @@ import (
 // RDMA writes becoming visible in ascending address order (§4.1). A
 // totalLen of wrapMarker tells the receiver the producer wrapped to offset
 // zero.
-//
-// Item-metadata versioning: the original format carried 24-byte metadata
-// without idemKey. Encoders now always emit the 32-byte v2 layout and set
-// flagItemMetaV2 in the header; the decoder accepts both, selecting the
-// metadata width from the flag, so frames captured from (or produced by)
-// the v1 format still decode.
 const (
-	headerBytes     = 32
-	itemMetaV1Bytes = 24 // legacy metadata layout, no idemKey
-	itemMetaBytes   = 32 // v2 metadata layout, emitted by this version
-	trailerBytes    = 8
-	wrapMarker      = ^uint32(0)
-
-	// flagItemMetaV2 in header.flags marks 32-byte item metadata.
-	flagItemMetaV2 uint32 = 1 << 0
+	headerBytes   = 32
+	itemMetaBytes = 32
+	trailerBytes  = 8
+	wrapMarker    = ^uint32(0)
 )
 
 // msgSpace returns the on-ring footprint of a message with the given
@@ -100,10 +90,10 @@ type itemMeta struct {
 	seqID    uint64
 	rpcID    uint32
 	status   uint32
-	idemKey  uint64 // zero on frames decoded from the v1 layout
+	idemKey  uint64
 }
 
-// putItemMeta encodes m into b (len >= itemMetaBytes) in the v2 layout.
+// putItemMeta encodes m into b (len >= itemMetaBytes).
 func putItemMeta(b []byte, m itemMeta) {
 	binary.LittleEndian.PutUint32(b[0:], m.size)
 	binary.LittleEndian.PutUint32(b[4:], m.threadID)
@@ -113,31 +103,15 @@ func putItemMeta(b []byte, m itemMeta) {
 	binary.LittleEndian.PutUint64(b[24:], m.idemKey)
 }
 
-// putItemMetaV1 encodes m into b (len >= itemMetaV1Bytes) in the legacy
-// layout, dropping idemKey. Kept for old/new frame-compatibility tests.
-func putItemMetaV1(b []byte, m itemMeta) {
-	binary.LittleEndian.PutUint32(b[0:], m.size)
-	binary.LittleEndian.PutUint32(b[4:], m.threadID)
-	binary.LittleEndian.PutUint64(b[8:], m.seqID)
-	binary.LittleEndian.PutUint32(b[16:], m.rpcID)
-	binary.LittleEndian.PutUint32(b[20:], m.status)
-}
-
-// getItemMeta decodes v2 per-item metadata from b.
+// getItemMeta decodes per-item metadata from b.
 func getItemMeta(b []byte) itemMeta {
-	m := getItemMetaV1(b)
-	m.idemKey = binary.LittleEndian.Uint64(b[24:])
-	return m
-}
-
-// getItemMetaV1 decodes legacy per-item metadata from b; idemKey is zero.
-func getItemMetaV1(b []byte) itemMeta {
 	return itemMeta{
 		size:     binary.LittleEndian.Uint32(b[0:]),
 		threadID: binary.LittleEndian.Uint32(b[4:]),
 		seqID:    binary.LittleEndian.Uint64(b[8:]),
 		rpcID:    binary.LittleEndian.Uint32(b[16:]),
 		status:   binary.LittleEndian.Uint32(b[20:]),
+		idemKey:  binary.LittleEndian.Uint64(b[24:]),
 	}
 }
 
@@ -170,25 +144,14 @@ func decodeMessageInto(buf []byte, items []decodedItem) (header, []decodedItem, 
 	if tail != h.canary {
 		return header{}, nil, fmt.Errorf("core: canary mismatch")
 	}
-	// The header flag selects the item-metadata width: v2 frames carry the
-	// 32-byte layout with idemKey, v1 frames the legacy 24-byte one.
-	metaBytes := itemMetaV1Bytes
-	if h.flags&flagItemMetaV2 != 0 {
-		metaBytes = itemMetaBytes
-	}
 	items = items[:0]
 	off := headerBytes
 	for i := uint32(0); i < h.count; i++ {
-		if off+metaBytes > len(buf)-trailerBytes {
+		if off+itemMetaBytes > len(buf)-trailerBytes {
 			return header{}, nil, fmt.Errorf("core: item %d metadata overruns message", i)
 		}
-		var m itemMeta
-		if metaBytes == itemMetaBytes {
-			m = getItemMeta(buf[off:])
-		} else {
-			m = getItemMetaV1(buf[off:])
-		}
-		off += metaBytes
+		m := getItemMeta(buf[off:])
+		off += itemMetaBytes
 		end := off + pad8(int(m.size))
 		if int(m.size) > pad8(int(m.size)) || end > len(buf)-trailerBytes {
 			return header{}, nil, fmt.Errorf("core: item %d payload overruns message", i)

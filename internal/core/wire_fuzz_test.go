@@ -15,13 +15,11 @@ import (
 //
 //	go test -fuzz=FuzzDecodeMessage -fuzztime=30s ./internal/core
 //
-// The targets assert three properties: the decoder never panics on
-// arbitrary bytes (it guards a ring the remote side writes), encode→decode
-// is the identity for every representable value, and v1 frames (24-byte
-// item metadata, no idempotency key) keep decoding next to the v2 layout
-// this version emits.
+// The targets assert two properties: the decoder never panics on
+// arbitrary bytes (it guards a ring the remote side writes), and
+// encode→decode is the identity for every representable value.
 
-// encodeTestMessage builds a valid v2 message from payloads using the
+// encodeTestMessage builds a valid message from payloads using the
 // production encode helpers, mirroring the leader's staging layout.
 func encodeTestMessage(h header, payloads [][]byte) []byte {
 	sizes := make([]int, len(payloads))
@@ -30,7 +28,6 @@ func encodeTestMessage(h header, payloads [][]byte) []byte {
 	}
 	h.totalLen = uint32(msgSpace(sizes))
 	h.count = uint32(len(payloads))
-	h.flags |= flagItemMetaV2
 	buf := make([]byte, h.totalLen)
 	putHeader(buf, h)
 	off := headerBytes
@@ -51,60 +48,30 @@ func encodeTestMessage(h header, payloads [][]byte) []byte {
 	return buf
 }
 
-// encodeTestMessageV1 builds the same message in the legacy v1 layout:
-// 24-byte item metadata, flag clear. Retired encoders produced exactly
-// this; the decoder must keep accepting it.
-func encodeTestMessageV1(h header, payloads [][]byte) []byte {
-	msgLen := headerBytes + trailerBytes
-	for _, p := range payloads {
-		msgLen += itemMetaV1Bytes + pad8(len(p))
-	}
-	h.totalLen = uint32(msgLen)
-	h.count = uint32(len(payloads))
-	h.flags &^= flagItemMetaV2
-	buf := make([]byte, msgLen)
-	putHeader(buf, h)
-	off := headerBytes
-	for i, p := range payloads {
-		putItemMetaV1(buf[off:], itemMeta{
-			size:     uint32(len(p)),
-			threadID: uint32(i),
-			seqID:    uint64(i) * 7,
-			rpcID:    uint32(i) + 1,
-			status:   0,
-		})
-		off += itemMetaV1Bytes
-		copy(buf[off:], p)
-		off += pad8(len(p))
-	}
-	binary.LittleEndian.PutUint64(buf[len(buf)-trailerBytes:], h.canary)
-	return buf
-}
-
 func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, headerBytes+trailerBytes))
 	f.Add(encodeTestMessage(header{canary: 0xfeedface}, [][]byte{[]byte("hello")}))
 	f.Add(encodeTestMessage(header{canary: 1, piggyHead: 42, credit: 3},
 		[][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xab}, 100)}))
-	// Legacy v1 frames must stay decodable.
-	f.Add(encodeTestMessageV1(header{canary: 0xfeedface}, [][]byte{[]byte("hello")}))
-	f.Add(encodeTestMessageV1(header{canary: 5, piggyHead: 9},
-		[][]byte{nil, []byte("legacy")}))
-	// A frame carrying pushback statuses and idempotency keys.
-	f.Add(encodeTestMessage(header{canary: 11, flags: flagItemMetaV2},
-		[][]byte{[]byte("overloaded"), []byte("draining")}))
-	// Torn/corrupt variants of a valid message.
+	// Torn/corrupt variants of a valid message, one per structural check.
 	m := encodeTestMessage(header{canary: 7}, [][]byte{[]byte("payload")})
-	f.Add(m[:len(m)-1])
+	oversize := append([]byte(nil), m...)
+	binary.LittleEndian.PutUint32(oversize[headerBytes:], 1<<20) // payload overruns
+	f.Add(oversize)
+	trailing := append([]byte(nil), m...)
+	binary.LittleEndian.PutUint32(trailing[4:], 0) // item left as trailing bytes
+	f.Add(trailing)
+	// A frame carrying idempotency keys.
+	f.Add(encodeTestMessage(header{canary: 11},
+		[][]byte{[]byte("overloaded"), []byte("draining")}))
+	f.Add(m[:len(m)-1]) // length mismatch
 	bad := append([]byte(nil), m...)
-	bad[4] = 200 // count no longer matches the items present
+	bad[4] = 200 // count no longer matches the items present: metadata overruns
 	f.Add(bad)
-	// A v2 frame whose flag was stripped: the decoder re-parses the bytes
-	// as v1 metadata and must reject or mis-see it without panicking.
-	stripped := append([]byte(nil), m...)
-	binary.LittleEndian.PutUint32(stripped[28:], 0)
-	f.Add(stripped)
+	canary := append([]byte(nil), m...)
+	canary[len(canary)-1] ^= 0xff // trailing canary mismatch
+	f.Add(canary)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, items, err := decodeMessage(data) // must not panic, whatever the bytes
@@ -121,9 +88,6 @@ func FuzzDecodeMessage(f *testing.F) {
 		for i, it := range items {
 			if int(it.meta.size) != len(it.data) {
 				t.Fatalf("item %d: meta size %d, data %d", i, it.meta.size, len(it.data))
-			}
-			if h.flags&flagItemMetaV2 == 0 && it.meta.idemKey != 0 {
-				t.Fatalf("item %d: v1 frame decoded a nonzero idemKey %d", i, it.meta.idemKey)
 			}
 		}
 		// Decoding is deterministic, and the reuse path agrees with the
@@ -170,37 +134,13 @@ func FuzzMessageRoundTrip(f *testing.F) {
 				t.Fatalf("item %d payload changed: %q != %q", i, items[i].data, p)
 			}
 		}
-
-		// Old/new frame compatibility: the v1 encoding of the same items
-		// must decode to identical metadata and payloads, idemKey aside.
-		buf1 := encodeTestMessageV1(header{canary: canary, piggyHead: piggyHead, credit: credit}, payloads)
-		h1, items1, err := decodeMessage(buf1)
-		if err != nil {
-			t.Fatalf("valid v1 message rejected: %v", err)
-		}
-		if h1.canary != canary || h1.piggyHead != piggyHead || h1.credit != credit {
-			t.Fatalf("v1 header fields changed: %+v", h1)
-		}
-		if len(items1) != len(items) {
-			t.Fatalf("v1 decoded %d items, v2 %d", len(items1), len(items))
-		}
-		for i := range items {
-			m2, m1 := items[i].meta, items1[i].meta
-			m2.idemKey = 0
-			if m1 != m2 {
-				t.Fatalf("item %d meta diverged across layouts: v1 %+v, v2 %+v", i, m1, items[i].meta)
-			}
-			if !bytes.Equal(items1[i].data, items[i].data) {
-				t.Fatalf("item %d payload diverged across layouts", i)
-			}
-		}
 	})
 }
 
 func FuzzHeaderRoundTrip(f *testing.F) {
 	f.Add(uint32(64), uint32(1), uint64(0xfeedface), uint64(9), uint32(2), uint32(0))
 	f.Add(^uint32(0), ^uint32(0), ^uint64(0), ^uint64(0), ^uint32(0), ^uint32(0))
-	f.Add(uint32(72), uint32(1), uint64(3), uint64(0), uint32(0), flagItemMetaV2)
+	f.Add(uint32(72), uint32(1), uint64(3), uint64(0), uint32(0), uint32(1))
 	f.Fuzz(func(t *testing.T, totalLen, count uint32, canary, piggyHead uint64, credit, flags uint32) {
 		in := header{totalLen: totalLen, count: count, canary: canary,
 			piggyHead: piggyHead, credit: credit, flags: flags}
@@ -225,9 +165,8 @@ func FuzzItemMetaRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzItemMetaV2RoundTrip covers the full v2 metadata including the
-// idempotency key and the v1 truncation relationship: dropping the key is
-// exactly what the legacy layout encodes.
+// FuzzItemMetaV2RoundTrip covers the full metadata including the
+// idempotency key.
 func FuzzItemMetaV2RoundTrip(f *testing.F) {
 	f.Add(uint32(8), uint32(3), uint64(77), uint32(1), uint32(4), uint64(0xabcdef))
 	f.Add(^uint32(0), ^uint32(0), ^uint64(0), ^uint32(0), ^uint32(0), ^uint64(0))
@@ -238,14 +177,7 @@ func FuzzItemMetaV2RoundTrip(f *testing.F) {
 		var buf [itemMetaBytes]byte
 		putItemMeta(buf[:], in)
 		if out := getItemMeta(buf[:]); out != in {
-			t.Fatalf("v2 item meta round trip: %+v != %+v", out, in)
-		}
-		var buf1 [itemMetaV1Bytes]byte
-		putItemMetaV1(buf1[:], in)
-		want := in
-		want.idemKey = 0
-		if out := getItemMetaV1(buf1[:]); out != want {
-			t.Fatalf("v1 item meta round trip: %+v != %+v", out, want)
+			t.Fatalf("item meta round trip: %+v != %+v", out, in)
 		}
 	})
 }
@@ -260,8 +192,6 @@ func TestFuzzCorpusFresh(t *testing.T) {
 			encodeTestMessage(header{canary: 0xfeedface}, [][]byte{[]byte("hello")})),
 		"testdata/fuzz/FuzzDecodeMessage/seed-v2-idem": corpusBytes(
 			encodeTestMessage(header{canary: 11}, [][]byte{[]byte("idempotent"), nil})),
-		"testdata/fuzz/FuzzDecodeMessage/seed-v1-legacy": corpusBytes(
-			encodeTestMessageV1(header{canary: 5, piggyHead: 9}, [][]byte{nil, []byte("legacy")})),
 		"testdata/fuzz/FuzzItemMetaV2RoundTrip/seed-basic": []byte(
 			"go test fuzz v1\nuint32(8)\nuint32(3)\nuint64(77)\nuint32(1)\nuint32(4)\nuint64(11259375)\n"),
 		"testdata/fuzz/FuzzItemMetaV2RoundTrip/seed-max": []byte(

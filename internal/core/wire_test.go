@@ -18,7 +18,6 @@ func buildMessage(items []itemMeta, payloads [][]byte, canary, piggy uint64) []b
 		count:     uint32(len(items)),
 		canary:    canary,
 		piggyHead: piggy,
-		flags:     flagItemMetaV2,
 	})
 	off := headerBytes
 	for i := range items {
@@ -156,50 +155,5 @@ func TestItemMetaEncoding(t *testing.T) {
 	putItemMeta(b[:], in)
 	if out := getItemMeta(b[:]); out != in {
 		t.Fatalf("item meta round trip: %+v != %+v", out, in)
-	}
-}
-
-func TestItemMetaV1Compat(t *testing.T) {
-	// A v1 frame (flag clear, 24-byte metadata) must decode to the same
-	// items as its v2 counterpart, with idemKey zeroed.
-	items := []itemMeta{
-		{threadID: 1, seqID: 10, rpcID: 7, idemKey: 99},
-		{threadID: 2, seqID: 20, rpcID: 8, status: 3, idemKey: 100},
-	}
-	payloads := [][]byte{[]byte("legacy"), []byte("frame")}
-	msgLen := headerBytes + trailerBytes
-	for i := range payloads {
-		msgLen += itemMetaV1Bytes + pad8(len(payloads[i]))
-	}
-	buf := make([]byte, msgLen)
-	putHeader(buf, header{totalLen: uint32(msgLen), count: uint32(len(items)), canary: 7})
-	off := headerBytes
-	for i := range items {
-		m := items[i]
-		m.size = uint32(len(payloads[i]))
-		putItemMetaV1(buf[off:], m)
-		copy(buf[off+itemMetaV1Bytes:], payloads[i])
-		off += itemMetaV1Bytes + pad8(len(payloads[i]))
-	}
-	putLE64(buf[msgLen-trailerBytes:], 7)
-
-	h, got, err := decodeMessage(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.flags&flagItemMetaV2 != 0 {
-		t.Fatalf("v1 frame decoded with v2 flag: %+v", h)
-	}
-	for i, it := range got {
-		if it.meta.idemKey != 0 {
-			t.Fatalf("item %d: v1 decode produced idemKey %d", i, it.meta.idemKey)
-		}
-		if it.meta.threadID != items[i].threadID || it.meta.seqID != items[i].seqID ||
-			it.meta.rpcID != items[i].rpcID || it.meta.status != items[i].status {
-			t.Fatalf("item %d meta: %+v", i, it.meta)
-		}
-		if !bytes.Equal(it.data, payloads[i]) {
-			t.Fatalf("item %d data: %q", i, it.data)
-		}
 	}
 }
