@@ -15,10 +15,19 @@ go test -race ./internal/core ./internal/rnic ./internal/mem ./internal/telemetr
 # GOMAXPROCS settings are exactly where a lost wake-up or an OCC retry
 # livelock would surface: run the concurrent packages at 1, 2 and 4 CPUs,
 # three times each, then the lost-wake-up and zero-allocation tests of
-# the event count and the parked pollers under the race detector.
+# the event count and the parked pollers under the race detector. The
+# same runs cover the lock-free idle paths: doorbells drained on the
+# posting goroutine (per-QP order, RNR sends kept off the poster, fault
+# plans forcing the pipeline, Close racing an inline drain), the MR write
+# generation and ring idle gate, the CQ empty-poll count, the fabric's
+# armed flag, and the wall-time RNR budget. The UD baseline's burst test
+# runs twenty times under the race detector, where its round trips are
+# slowest.
 go test -cpu 1,2,4 -count=3 ./internal/core ./internal/txn ./internal/cluster
-go test -race -count=10 -run 'EventCount|DeviceSignals' ./internal/rnic
-go test -race -count=10 -run 'Parked|CloseWhileParked|PollerPark' ./internal/core
+go test -race -count=10 -run 'EventCount|DeviceSignals|InlineDoorbell|BusyDevice|RNRSendNever|FaultPlanDisables|CloseDuringInline|RNRWaitBounded|WriteGeneration|CQPollAfterEmpty' ./internal/rnic
+go test -race -count=10 -run 'Parked|CloseWhileParked|PollerPark|RingIdleGate' ./internal/core
+go test -race -count=10 -run 'FaultsArmed' ./internal/fabric
+go test -race -count=20 -run 'TestRecvDrainsPolledBatch' ./internal/baseline/udrpc
 
 # Mutation self-test: rebuild the schedule explorer with the eight
 # known-bad protocol variants (flockmut build tag) and assert the

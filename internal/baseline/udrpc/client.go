@@ -29,6 +29,13 @@ type ClientThread struct {
 	partials map[uint32]*partial
 	ready    []Response // completed exchanges beyond the one Recv returned
 
+	// progress is when an outstanding exchange last completed (zero until
+	// the first does). As with TCP's retransmission timer, a request times
+	// out only once the timeout has passed both since its send and since
+	// the last progress, so requests queued behind a busy server are not
+	// resent while its responses keep arriving.
+	progress time.Time
+
 	retransmits uint64
 	closed      bool
 }
@@ -199,6 +206,7 @@ func (c *ClientThread) handleResponse(pkt []byte) *Response {
 		return nil
 	}
 	delete(c.pending, h.seq)
+	c.progress = time.Now()
 	// Advance the ack watermark: everything below the smallest pending
 	// seq is complete.
 	c.ackBelow = c.seq + 1
@@ -231,6 +239,7 @@ func (c *ClientThread) handleBatch(h pktHeader, payload []byte) *Response {
 			continue // duplicate
 		}
 		delete(c.pending, seq)
+		c.progress = time.Now()
 		r := Response{Seq: seq, RPCID: rpcID, Data: data}
 		if first == nil {
 			first = &r
@@ -276,10 +285,20 @@ func (c *ClientThread) reassembleResp(h pktHeader, frag []byte) ([]byte, bool) {
 }
 
 // checkRetransmit resends timed-out requests; ErrTimeout after MaxRetries.
+//
+// Until the first exchange completes the timeout is three times
+// RetransmitTimeout, as RFC 2988 started at three times its floor before
+// any round trip was seen: a fresh endpoint's first round trip pays
+// one-time costs (a cold server path, the race detector's first touches)
+// that can exceed the steady-state timeout without any loss.
 func (c *ClientThread) checkRetransmit() error {
 	now := time.Now()
+	rto := c.cfg.RetransmitTimeout
+	if c.progress.IsZero() {
+		rto *= 3
+	}
 	for seq, p := range c.pending {
-		if now.Sub(p.sentAt) < c.cfg.RetransmitTimeout {
+		if now.Sub(p.sentAt) < rto || now.Sub(c.progress) < rto {
 			continue
 		}
 		if p.attempts >= c.cfg.MaxRetries {

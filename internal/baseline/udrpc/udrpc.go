@@ -20,6 +20,7 @@ package udrpc
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -289,13 +290,24 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// serverSpins is how many Gosched rounds an idle server dispatcher polls
+// before parking on the device's completion channel.
+const serverSpins = 4
+
 // dispatch is one server dispatcher: poll the recv CQ, recycle buffers,
-// reassemble, execute, respond — the per-packet CPU loop of §2.2.
+// reassemble, execute, respond — the per-packet CPU loop of §2.2. An idle
+// dispatcher parks on the device event count, which every inbound send
+// signals once its receive completion is pushed, so a request arriving at
+// an idle server waits for a goroutine wake, not for a sleep's timer
+// slack (which on a coarse-timer host exceeds the client's default
+// retransmission timeout).
 func (s *Server) dispatch(qpIdx int) {
 	defer s.wg.Done()
 	qp := s.qps[qpIdx]
 	slots := s.slots[qpIdx]
 	var cqBuf [64]rnic.Completion
+	ev := s.dev.Events()
+	w := ev.NewWaiter()
 	idle := 0
 	for {
 		select {
@@ -303,10 +315,20 @@ func (s *Server) dispatch(qpIdx int) {
 			return
 		default:
 		}
+		seen := ev.Gen()
 		k := qp.RecvCQ().Poll(cqBuf[:])
 		if k == 0 {
 			idle++
-			backoff(idle)
+			if idle <= serverSpins || !w.Arm(seen) {
+				runtime.Gosched()
+				continue
+			}
+			select {
+			case <-w.C():
+			case <-s.done:
+				w.Disarm()
+				return
+			}
 			continue
 		}
 		idle = 0
@@ -525,7 +547,7 @@ func sendFragments(qp *rnic.QP, mtu int, dst rnic.Address, kind uint8, rpcID uin
 	}
 }
 
-// backoff yields then sleeps as a poll loop stays idle.
+// backoff sleeps as the client's poll loop stays idle.
 func backoff(idle int) {
 	if idle < 256 {
 		time.Sleep(time.Microsecond)

@@ -191,10 +191,13 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 	if len(wrs) == 0 {
 		return stateSent
 	}
+	// Record the post before ringing: a doorbell on an idle device places
+	// the message before PostSend returns, so the response can complete
+	// on the dispatcher before a later record would be taken.
+	c.node.trace.Record(telemetry.EvPost, q.idx, th.id, 0, uint64(len(wrs)))
 	if err := q.qp.PostSend(wrs...); err != nil {
 		return c.postFailure(q, err)
 	}
-	c.node.trace.Record(telemetry.EvPost, q.idx, th.id, 0, uint64(len(wrs)))
 	return stateSent
 }
 

@@ -549,3 +549,29 @@ func TestDrainWaitsOutSlowHandler(t *testing.T) {
 		t.Fatalf("call admitted before the drain: %v", err)
 	}
 }
+
+// TestAdmissionSlotFreedBeforeResponse runs one caller against an
+// admission limit of one, served by the worker pool. Calls never overlap,
+// so none may be pushed back. A response posted to an idle device is
+// placed before PostSend returns, so the caller can send its next request
+// while the worker is still inside the post; the worker must release the
+// answered request's admission slot before posting, or the dispatcher
+// NACKs a request that never exceeded the limit.
+func TestAdmissionSlotFreedBeforeResponse(t *testing.T) {
+	tc := newTestCluster(t, 1, Options{AdmissionLimit: 1, Workers: 1}, Options{})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+	for i := 0; i < 2000; i++ {
+		r, err := th.Call(1, []byte("one-at-a-time"))
+		if err != nil {
+			t.Fatalf("call %d of a lone caller: %v", i, err)
+		}
+		r.Release()
+	}
+	if m := tc.server.Metrics(); m.RPCRejected != 0 {
+		t.Fatalf("%d sequential calls pushed back", m.RPCRejected)
+	}
+}

@@ -112,6 +112,12 @@ type ringConsumer struct {
 	publishMR  *rnic.MemRegion // control region carrying the consumed head
 	publishOff int
 
+	// idleGen is mr's write generation sampled before the last poll that
+	// found nothing, valid while idle is set. Until the generation moves,
+	// nothing was written to the ring and poll returns without reading it.
+	idleGen uint64
+	idle    bool
+
 	items []decodedItem // reusable decode scratch, overwritten per poll
 }
 
@@ -134,6 +140,7 @@ func (c *ringConsumer) consumed() uint64 { return c.head.Load() }
 // excluded the polling dispatcher first.
 func (c *ringConsumer) reset() {
 	c.head.Store(0)
+	c.idle = false
 	c.publish()
 }
 
@@ -146,6 +153,17 @@ func (c *ringConsumer) reset() {
 // Incomplete messages — header visible but trailing canary not yet placed —
 // are left untouched for the next poll, exactly the §4.1 protocol.
 func (c *ringConsumer) poll() (header, []decodedItem, *mem.Buf, bool) {
+	gen := c.mr.Writes()
+	if c.idle && gen == c.idleGen {
+		return header{}, nil, nil, false
+	}
+	h, items, mbuf, ok := c.pollRing()
+	c.idle, c.idleGen = !ok, gen
+	return h, items, mbuf, ok
+}
+
+// pollRing is poll without the write-generation gate.
+func (c *ringConsumer) pollRing() (header, []decodedItem, *mem.Buf, bool) {
 	off := int(c.head.Load()) % c.size
 	word := c.mr.Load64(c.base + off)
 	totalLen := uint32(word)

@@ -278,3 +278,86 @@ func TestRingModelBasedProperty(t *testing.T) {
 	}
 	t.Logf("model-based: %d messages across ~%d ring laps", produced, int(rp.prod.tail)/size)
 }
+
+// TestRingIdleGateSeesLaterWrites polls a ring empty — arming the
+// write-generation gate — and then places a message three ways: by host
+// WriteAt, by a real RC write through the device, and after reset(). Each
+// must be consumed by the next poll; a gate that skipped a real write
+// would wedge the ring.
+func TestRingIdleGateSeesLaterWrites(t *testing.T) {
+	consume := func(t *testing.T, rp *ringPair, want string) {
+		t.Helper()
+		h, items, mbuf, ok := rp.cons.poll()
+		if !ok {
+			t.Fatalf("message placed after an empty poll not consumed (%s)", want)
+		}
+		defer mbuf.Release()
+		if h.count != 1 || string(items[0].data) != want {
+			t.Fatalf("decoded %q, want %q", items[0].data, want)
+		}
+	}
+	emptyPoll := func(t *testing.T, rp *ringPair) {
+		t.Helper()
+		if _, _, _, ok := rp.cons.poll(); ok {
+			t.Fatal("phantom message on an empty ring")
+		}
+		if _, _, _, ok := rp.cons.poll(); ok { // gated poll
+			t.Fatal("phantom message on an empty ring")
+		}
+	}
+
+	t.Run("host-write", func(t *testing.T) {
+		rp := newRingPair(t, 4096)
+		emptyPoll(t, rp)
+		rp.produce(t, 11, []byte("host"))
+		consume(t, rp, "host")
+	})
+
+	t.Run("rc-write", func(t *testing.T) {
+		rp := newRingPair(t, 4096)
+		peer, err := rnic.NewDevice(rp.dev.Fabric(), rnic.Config{Node: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(peer.Close)
+		qp, _, err := rnic.ConnectPair(peer, rp.dev, rnic.RC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emptyPoll(t, rp)
+		msg := buildMessage([]itemMeta{{}}, [][]byte{[]byte("rdma")}, 12, 0)
+		res, _ := rp.prod.reserve(len(msg))
+		if err := qp.PostSend(rnic.SendWR{
+			WRID: 1, Op: rnic.OpWrite, Inline: msg,
+			RKey: rp.dst.RKey(), RemoteOff: res.msgOff, Signaled: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var cq [1]rnic.Completion
+		for qp.SendCQ().Poll(cq[:]) == 0 {
+		}
+		if cq[0].Status != rnic.StatusOK {
+			t.Fatalf("RC write: %+v", cq[0])
+		}
+		consume(t, rp, "rdma")
+	})
+
+	t.Run("after-reset", func(t *testing.T) {
+		rp := newRingPair(t, 4096)
+		rp.produce(t, 13, []byte("first"))
+		consume(t, rp, "first")
+		// A recycled QP's producer restarts at offset zero and its first
+		// message lands there before the consumer is reset. The empty
+		// polls below sample the generation after that write, so only
+		// reset() clearing the gate lets the consumer see it.
+		msg := buildMessage([]itemMeta{{}}, [][]byte{[]byte("again")}, 14, 0)
+		rp.dst.WriteAt(msg, 0) //nolint:errcheck
+		emptyPoll(t, rp)
+		gen := rp.dst.Writes()
+		rp.cons.reset()
+		if rp.dst.Writes() != gen {
+			t.Fatal("reset wrote the ring region; the case no longer isolates the gate")
+		}
+		consume(t, rp, "again")
+	})
+}

@@ -310,7 +310,7 @@ func (n *Node) pumpRequests(sqp *serverQP) bool {
 			admit = append(admit, it)
 		}
 		if len(nacks) > 0 {
-			n.flushResponses(sqp, nacks)
+			n.flushResponses(sqp, nacks, 0)
 			sqp.nackScratch = nacks[:0]
 		}
 		if len(admit) == 0 {
@@ -334,9 +334,8 @@ func (n *Node) pumpRequests(sqp *serverQP) bool {
 					}
 				}
 				if len(out) > 0 {
-					n.flushResponses(sqp, out)
+					n.flushResponses(sqp, out, len(out))
 					sqp.outScratch = out[:0]
-					n.inflight.Add(-int64(len(out)))
 				}
 				admit = keep
 				if len(admit) == 0 {
@@ -368,10 +367,9 @@ func (n *Node) pumpRequests(sqp *serverQP) bool {
 		for k := range admit {
 			out = append(out, n.execute(sqp.sc, admit[k].meta, admit[k].data))
 		}
-		n.flushResponses(sqp, out)
+		n.flushResponses(sqp, out, len(admit))
 		sqp.outScratch = out[:0]
 		mbuf.Release()
-		n.inflight.Add(-int64(len(admit)))
 	}
 }
 
@@ -400,9 +398,8 @@ func (n *Node) worker() {
 			for k, it := range unit.items {
 				out[k] = n.execute(unit.sqp.sc, it.meta, it.payload)
 			}
-			n.flushResponses(unit.sqp, out)
+			n.flushResponses(unit.sqp, out, len(unit.items))
 			unit.buf.Release()
-			n.inflight.Add(-int64(len(unit.items)))
 		}
 	}
 }
@@ -464,7 +461,14 @@ func (n *Node) execute(sc *serverConn, meta itemMeta, payload []byte) (out respO
 // flushResponses coalesces the batch into one response message — tagging
 // each item with its request's thread ID and sequence ID, piggybacking the
 // request-ring consumed head — and posts it with a single RDMA write.
-func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
+//
+// admitted is how many of out answer admitted requests. Their admission
+// slots (n.inflight) are released once the response is staged, just
+// before it is posted, and on every path that drops it: a post to an idle
+// device executes on this goroutine, so the client can see the response
+// and send its next request before PostSend returns, and that request
+// must not find the answered ones still counted against AdmissionLimit.
+func (n *Node) flushResponses(sqp *serverQP, out []respOut, admitted int) {
 	if len(out) == 0 {
 		return
 	}
@@ -492,6 +496,7 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
 			// QP under recycle: the client already failed these requests;
 			// drop the responses rather than wedge the flush path (and the
 			// recycler waiting on respMu) against a dead consumer.
+			n.inflight.Add(-int64(admitted))
 			return
 		}
 		var ok bool
@@ -510,6 +515,7 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
 			continue
 		}
 		if n.awaitEvent(sqp.flushWait, seen, nil, n.done) == wakeStop {
+			n.inflight.Add(-int64(admitted))
 			return
 		}
 	}
@@ -556,6 +562,7 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
 		Signaled: sqp.msgSeq%uint64(n.opts.SignalEvery) == 0,
 	})
 	sqp.wrScratch = wrs[:0]
+	n.inflight.Add(-int64(admitted))
 	sqp.qp.PostSend(wrs...) //nolint:errcheck // device closing is benign here
 }
 

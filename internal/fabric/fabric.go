@@ -13,6 +13,7 @@ package fabric
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"flock/internal/stats"
 )
@@ -65,12 +66,15 @@ type Fabric struct {
 
 	// Fault injection (faults.go). plan and faultRNG are nil until
 	// SetFaultPlan installs a plan; manualDown holds links forced down via
-	// SetLinkDown.
+	// SetLinkDown. armed mirrors "any of them is set": the mutators
+	// recompute it under mu, and FaultRC reads it without the lock, so on
+	// a fabric with no faults an RC attempt costs one atomic load.
 	plan       *FaultPlan
 	faultRNG   *stats.RNG
 	faults     []*linkFaultState
 	manualDown map[linkKey]bool
 	fstats     FaultStats
+	armed      atomic.Bool
 }
 
 type linkKey struct {

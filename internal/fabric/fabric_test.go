@@ -149,3 +149,58 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("total packets = %d, want 8000", f.Totals().Packets)
 	}
 }
+
+// TestFaultsArmedTracksEverySource checks the lock-free fast path of the
+// per-attempt fault checks: the armed flag is set while any fault source
+// is installed — a plan, a scheduled link fault, a manual link-down — and
+// cleared once none is, and loss keeps firing while any source is set.
+func TestFaultsArmedTracksEverySource(t *testing.T) {
+	f := New(Config{})
+	dropRC := func() bool {
+		drop, _ := f.FaultRC(1, 2, 7)
+		return drop
+	}
+	if f.FaultsArmed() || dropRC() || f.DropUD(1, 2) {
+		t.Fatal("a fresh fabric injects faults")
+	}
+
+	f.SetFaultPlan(&FaultPlan{Seed: 1, RCLossProb: 1})
+	if !f.FaultsArmed() || !dropRC() {
+		t.Fatal("plan with RC loss 1 did not drop")
+	}
+	f.SetFaultPlan(nil)
+	if f.FaultsArmed() || dropRC() {
+		t.Fatal("SetFaultPlan(nil) left the fabric armed")
+	}
+
+	f.SetLinkDown(1, 2, true)
+	if !f.FaultsArmed() || !dropRC() || !f.DropUD(1, 2) {
+		t.Fatal("manual link-down did not drop RC and UD")
+	}
+	if drop, _ := f.FaultRC(2, 1, 7); drop {
+		t.Fatal("link-down of 1→2 dropped 2→1")
+	}
+	// Plan and link-down together: clearing one keeps the other in force.
+	f.SetFaultPlan(&FaultPlan{Seed: 1})
+	f.SetFaultPlan(nil)
+	if !f.FaultsArmed() || !dropRC() {
+		t.Fatal("clearing the plan disarmed a manual link-down")
+	}
+	f.SetLinkDown(1, 2, false)
+	if f.FaultsArmed() || dropRC() {
+		t.Fatal("SetLinkDown(false) left the fabric armed")
+	}
+
+	f.AddLinkFault(LinkFault{Src: 1, Dst: 2})
+	if !f.FaultsArmed() || !dropRC() {
+		t.Fatal("scheduled link fault did not drop")
+	}
+	f.ClearLinkFaults()
+	if dropRC() {
+		t.Fatal("cleared link fault still drops")
+	}
+	f.SetFaultPlan(nil)
+	if f.FaultsArmed() {
+		t.Fatal("fabric armed with every fault source removed")
+	}
+}

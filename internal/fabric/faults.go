@@ -110,6 +110,7 @@ type FaultStats struct {
 func (f *Fabric) SetFaultPlan(p *FaultPlan) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.rearmLocked()
 	if p == nil {
 		f.plan = nil
 		f.faults = nil
@@ -125,6 +126,17 @@ func (f *Fabric) SetFaultPlan(p *FaultPlan) {
 	}
 }
 
+// rearmLocked recomputes the armed flag from the fault state. Caller
+// holds f.mu.
+func (f *Fabric) rearmLocked() {
+	f.armed.Store(f.plan != nil || len(f.faults) > 0 || len(f.manualDown) > 0)
+}
+
+// FaultsArmed reports whether any fault source — a plan, a scheduled link
+// fault or a manual link-down — is installed. Without one, FaultRC
+// returns at once without taking the fabric lock.
+func (f *Fabric) FaultsArmed() bool { return f.armed.Load() }
+
 // AddLinkFault appends one scheduled link fault to the active plan,
 // creating an empty plan if none is installed.
 func (f *Fabric) AddLinkFault(lf LinkFault) {
@@ -135,6 +147,7 @@ func (f *Fabric) AddLinkFault(lf LinkFault) {
 		f.faultRNG = stats.NewRNG(0)
 	}
 	f.faults = append(f.faults, &linkFaultState{LinkFault: lf})
+	f.rearmLocked()
 }
 
 // ClearLinkFaults removes all scheduled link faults, keeping the rest of
@@ -143,6 +156,7 @@ func (f *Fabric) ClearLinkFaults() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.faults = nil
+	f.rearmLocked()
 }
 
 // SetLinkDown forces the directed link src → dst down (or back up) until
@@ -158,6 +172,7 @@ func (f *Fabric) SetLinkDown(src, dst NodeID, down bool) {
 	} else {
 		delete(f.manualDown, linkKey{src, dst})
 	}
+	f.rearmLocked()
 }
 
 // FaultCounters returns a copy of the fault-injection counters.
@@ -173,11 +188,11 @@ func (f *Fabric) FaultCounters() FaultStats {
 // pipeline should stall for. Link-down windows, random loss, and detected
 // corruption (RC CRCs turn corruption into loss) all count as drops.
 func (f *Fabric) FaultRC(src, dst NodeID, qpn int) (drop bool, delay time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.plan == nil && len(f.faults) == 0 && len(f.manualDown) == 0 {
+	if !f.armed.Load() {
 		return false, 0
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.stepLinkFaultsLocked(src, dst, qpn) {
 		f.fstats.LinkDownDrops++
 		drop = true

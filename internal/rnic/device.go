@@ -20,27 +20,34 @@ type Config struct {
 	// CQDepth is the default depth for completion queues created by this
 	// device. Zero means 4096.
 	CQDepth int
-	// RNRRetries bounds how many times the pipeline re-attempts a send
-	// that finds no receive buffer on an RC responder before completing
-	// with StatusRNRExceeded. Zero means 1000.
+	// RNRRetries is the receiver-not-ready budget of a send that finds no
+	// receive buffer on an RC responder: the device completes it with
+	// StatusRNRExceeded once it has made RNRRetries attempts and
+	// RNRRetries × 10µs of wall time has passed, so the timeout does not
+	// depend on the host's timer slack. Zero means 1000 (10ms).
 	RNRRetries int
-	// RCRetries bounds how many times the pipeline retransmits an RC work
+	// RCRetries bounds how many times the device retransmits an RC work
 	// request whose transmission the fabric faults (loss, corruption,
 	// link-down) before completing it with StatusRetryExceeded and moving
-	// the QP to the error state — the IBTA transport retry counter. Zero
-	// means 7, the hardware maximum. Faults only occur when the fabric has
-	// a FaultPlan installed.
+	// the QP to the error state — the IBTA transport retry counter. Giving
+	// up also waits out the retransmissions' nominal backoffs in wall
+	// time. Zero means 7, the hardware maximum. Faults only occur when
+	// the fabric has a FaultPlan installed.
 	RCRetries int
 }
 
 // Counters aggregates device activity. All fields are written atomically by
-// the pipeline and may be read at any time via Device.Stats.
+// the device and may be read at any time via Device.Stats.
 type Counters struct {
 	// Doorbells counts PostSend calls — MMIO writes on real hardware.
 	Doorbells uint64
+	// InlineDoorbells counts doorbells whose work the posting goroutine
+	// executed itself because the processing unit was idle; the rest were
+	// handed to the pipeline goroutine.
+	InlineDoorbells uint64
 	// WorkRequests counts posted send-queue WRs.
 	WorkRequests uint64
-	// Processed counts WRs the pipeline has executed.
+	// Processed counts WRs the device has executed.
 	Processed uint64
 	// CacheHits and CacheMisses count connection-context cache accesses
 	// on this device, both requester- and responder-side; CacheEvictions
@@ -91,6 +98,7 @@ func (c *Counters) add(f *uint64, n uint64) { atomic.AddUint64(f, n) }
 func (c *Counters) snapshot() Counters {
 	return Counters{
 		Doorbells:             atomic.LoadUint64(&c.Doorbells),
+		InlineDoorbells:       atomic.LoadUint64(&c.InlineDoorbells),
 		WorkRequests:          atomic.LoadUint64(&c.WorkRequests),
 		Processed:             atomic.LoadUint64(&c.Processed),
 		CacheHits:             atomic.LoadUint64(&c.CacheHits),
@@ -113,10 +121,15 @@ func (c *Counters) snapshot() Counters {
 	}
 }
 
-// Device is one software RNIC attached to a fabric node. Its single
-// pipeline goroutine executes work requests in doorbell order, mirroring
-// the serialized processing unit of real NIC hardware; per-QP send
-// ordering follows from it.
+// Device is one software RNIC attached to a fabric node. It has one
+// processing unit (execMu): at most one QP send queue drains at a time,
+// mirroring the serialized processing unit of real NIC hardware. A
+// doorbell that finds the unit idle runs on the posting goroutine, the
+// way a real NIC starts on an MMIO write at once; otherwise the QP is
+// queued for the pipeline goroutine, which drains queued QPs in doorbell
+// order. Only work requests that cannot block run on the poster (see
+// PostSend). Per-QP send ordering follows from QP.ringing: a QP is
+// drained by one holder of the unit at a time.
 type Device struct {
 	cfg   Config
 	fab   *fabric.Fabric
@@ -131,11 +144,14 @@ type Device struct {
 	work     chan *QP
 	closed   chan struct{}
 	wg       sync.WaitGroup
-	inflight int64 // WRs posted but not yet fully executed
+	inflight int64 // doorbells rung but not yet fully drained
 
+	// execMu is the processing unit: held around every drain, by the
+	// pipeline goroutine or by a poster that found it free.
+	execMu sync.Mutex
 	// drainScratch stages one batch of WRs popped from a QP send queue.
-	// It is touched only by the pipeline goroutine, so reusing it across
-	// drain rounds is race-free and saves one allocation per round.
+	// It is guarded by execMu, so reusing it across drain rounds is
+	// race-free and saves one allocation per round.
 	drainScratch [drainBudget]SendWR
 
 	counters Counters
@@ -202,19 +218,21 @@ func (d *Device) CacheStats() (hits, misses uint64, resident int) {
 // unprocessed WRs are abandoned.
 func (d *Device) Close() {
 	d.mu.Lock()
-	select {
-	case <-d.closed:
+	if d.isClosed() {
 		d.mu.Unlock()
 		return
-	default:
 	}
 	close(d.closed)
 	d.mu.Unlock()
 	d.wg.Wait()
+	// A poster may still be draining on its own goroutine; wait for it.
+	// Later posters see closed and do not drain.
+	d.execMu.Lock()
+	d.execMu.Unlock()
 	d.fab.Unregister(d.cfg.Node)
 
-	// The pipeline is gone; release pool leases owned by WRs it never got
-	// to, so abandoning work at shutdown cannot leak buffers.
+	// No drain runs any more; release pool leases owned by WRs never
+	// executed, so abandoning work at shutdown cannot leak buffers.
 	d.mu.Lock()
 	qps := make([]*QP, 0, len(d.qps))
 	for _, q := range d.qps {
@@ -246,10 +264,8 @@ func (d *Device) CreateQP(t Transport, sendCQ, recvCQ *CQ) (*QP, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	select {
-	case <-d.closed:
+	if d.isClosed() {
 		return nil, ErrDeviceClosed
-	default:
 	}
 	q := &QP{
 		dev:       d,
@@ -302,10 +318,8 @@ func (d *Device) RegisterMR(size int, perms Perm) (*MemRegion, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	select {
-	case <-d.closed:
+	if d.isClosed() {
 		return nil, ErrDeviceClosed
-	default:
 	}
 	mr := &MemRegion{
 		buf:   make([]byte, size),
@@ -353,38 +367,62 @@ func ConnectPair(a, b *Device, t Transport) (*QP, *QP, error) {
 	return qa, qb, nil
 }
 
-// ring notifies the pipeline that q has pending work.
-func (d *Device) ring(q *QP) error {
+// ring notifies the device that q has pending work. When the processing
+// unit is free, the caller drains q itself; otherwise, or when that drain
+// stops before a WR that must not run on the poster, q is queued for the
+// pipeline goroutine. On a closed device ring does nothing: the WRs
+// already queued on q belong to the device, and Close releases their
+// leases.
+func (d *Device) ring(q *QP) {
 	atomic.AddInt64(&d.inflight, 1)
+	if d.execMu.TryLock() {
+		if d.isClosed() {
+			d.execMu.Unlock()
+			atomic.AddInt64(&d.inflight, -1)
+			return
+		}
+		done := d.drain(q, true)
+		d.execMu.Unlock()
+		if done {
+			d.counters.add(&d.counters.InlineDoorbells, 1)
+			atomic.AddInt64(&d.inflight, -1)
+			return
+		}
+	}
 	select {
 	case d.work <- q:
-		return nil
 	case <-d.closed:
 		atomic.AddInt64(&d.inflight, -1)
-		return ErrDeviceClosed
+	}
+}
+
+// isClosed reports whether Close has begun.
+func (d *Device) isClosed() bool {
+	select {
+	case <-d.closed:
+		return true
+	default:
+		return false
 	}
 }
 
 // Quiesce returns once every posted WR has been executed. It is a test and
 // benchmark aid; applications rely on completions instead.
 func (d *Device) Quiesce() {
-	for atomic.LoadInt64(&d.inflight) != 0 {
-		select {
-		case <-d.closed:
-			return
-		default:
-		}
+	for atomic.LoadInt64(&d.inflight) != 0 && !d.isClosed() {
 	}
 }
 
-// pipeline is the device's processing unit: it drains QP send queues in
-// doorbell order.
+// pipeline drains the QPs queued by doorbells that found the processing
+// unit busy, in doorbell order, taking the unit around each drain.
 func (d *Device) pipeline() {
 	defer d.wg.Done()
 	for {
 		select {
 		case q := <-d.work:
-			d.drain(q)
+			d.execMu.Lock()
+			d.drain(q, false)
+			d.execMu.Unlock()
 			atomic.AddInt64(&d.inflight, -1)
 		case <-d.closed:
 			return
@@ -400,19 +438,40 @@ const drainBudget = 16
 
 // drain executes q's queued WRs until its send queue is observed empty or
 // the fairness budget is spent; in the latter case the QP is re-queued
-// behind the other pending doorbells.
-func (d *Device) drain(q *QP) {
+// behind the other pending doorbells. The caller holds execMu.
+//
+// An inline drain (on the posting goroutine) stops before the first WR
+// that may block — see mayBlock — and before every round while faults are
+// armed, leaving q.ringing set, and returns false: the caller then queues
+// q for the pipeline, which resumes from that WR, so per-QP order holds.
+// Otherwise drain returns true.
+func (d *Device) drain(q *QP, inline bool) bool {
 	spent := 0
 	for {
+		if inline && d.fab.FaultsArmed() {
+			return false
+		}
 		q.mu.Lock()
 		if len(q.sendq) == 0 {
 			q.ringing = false
 			q.mu.Unlock()
-			return
+			return true
 		}
 		n := len(q.sendq)
 		if spent+n > drainBudget {
 			n = drainBudget - spent
+		}
+		if inline {
+			for i := 0; i < n; i++ {
+				if q.mayBlock(&q.sendq[i]) {
+					n = i
+					break
+				}
+			}
+			if n == 0 {
+				q.mu.Unlock()
+				return false
+			}
 		}
 		batch := d.drainScratch[:n]
 		copy(batch, q.sendq)
@@ -432,7 +491,7 @@ func (d *Device) drain(q *QP) {
 			atomic.AddInt64(&d.inflight, 1)
 			select {
 			case d.work <- q:
-				return
+				return true
 			default:
 				atomic.AddInt64(&d.inflight, -1)
 				spent = 0

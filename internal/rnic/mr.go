@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // MemRegion is a registered memory region (MR). Registration hands the
@@ -18,14 +19,27 @@ import (
 // released in between, so a polling host observes the same
 // partially-placed messages it would see on real hardware. FLock's canary
 // framing (§4.1) depends on exactly that.
+//
+// Every store path — host WriteAt/Store64/CAS64, inbound DMA, and remote
+// atomics — advances a write generation after its bytes are placed
+// (Writes). A poller that found nothing can compare generations and skip
+// the locked read until something was written: the idle poll of a ring
+// costs one atomic load, as reading ring memory does on real hardware.
 type MemRegion struct {
-	mu    sync.RWMutex
-	buf   []byte
-	lkey  uint32
-	rkey  uint32
-	perms Perm
-	node  int
+	mu     sync.RWMutex
+	buf    []byte
+	writes atomic.Uint64 // write generation; advanced after every store
+	lkey   uint32
+	rkey   uint32
+	perms  Perm
+	node   int
 }
+
+// Writes returns the region's write generation. It advances after every
+// store into the region has placed its bytes, so a reader that samples it
+// before reading and sees it unchanged later knows nothing was written in
+// between.
+func (mr *MemRegion) Writes() uint64 { return mr.writes.Load() }
 
 // Len returns the size of the region in bytes.
 func (mr *MemRegion) Len() int { return len(mr.buf) }
@@ -66,6 +80,7 @@ func (mr *MemRegion) WriteAt(src []byte, off int) error {
 	mr.mu.Lock()
 	copy(mr.buf[off:], src)
 	mr.mu.Unlock()
+	mr.writes.Add(1)
 	return nil
 }
 
@@ -84,6 +99,7 @@ func (mr *MemRegion) Store64(off int, v uint64) {
 	mr.mu.Lock()
 	binary.LittleEndian.PutUint64(mr.buf[off:off+8], v)
 	mr.mu.Unlock()
+	mr.writes.Add(1)
 }
 
 // dmaWriteChunked applies an inbound write in ascending MTU-sized chunks,
@@ -97,6 +113,7 @@ func (mr *MemRegion) dmaWriteChunked(src []byte, off, mtu int) {
 		mr.mu.Lock()
 		copy(mr.buf[off:], src[:n])
 		mr.mu.Unlock()
+		mr.writes.Add(1)
 		src = src[n:]
 		off += n
 	}
@@ -134,8 +151,9 @@ func (mr *MemRegion) atomic64(off int, fn func(old uint64) (new uint64)) (uint64
 		return 0, err
 	}
 	mr.mu.Lock()
-	defer mr.mu.Unlock()
 	old := binary.LittleEndian.Uint64(mr.buf[off : off+8])
 	binary.LittleEndian.PutUint64(mr.buf[off:off+8], fn(old))
+	mr.mu.Unlock()
+	mr.writes.Add(1)
 	return old, nil
 }

@@ -8,10 +8,10 @@ import (
 	"flock/internal/mem"
 )
 
-// execute runs one work request on the device pipeline. It models the
-// requester NIC touching its own connection context, the wire transfer,
-// and the responder NIC touching its context and performing DMA against
-// the target memory region.
+// execute runs one work request on the device's processing unit. It
+// models the requester NIC touching its own connection context, the wire
+// transfer, and the responder NIC touching its context and performing DMA
+// against the target memory region.
 func (d *Device) execute(q *QP, wr *SendWR) {
 	// Every path through execute is terminal for the WR, so the pooled
 	// Inline lease (if the poster transferred one) dies here.
@@ -139,7 +139,13 @@ func (d *Device) fail(q *QP, wr *SendWR, status Status, byteLen int) {
 // a link-down window); lost attempts are retransmitted with exponential
 // backoff up to Config.RCRetries. Retransmissions re-charge the wire. It
 // returns false when the retry budget is exhausted or the device closes.
+//
+// The budget is in time as well as attempts: it is spent once RCRetries
+// retransmissions have been made and the sum of their nominal backoffs
+// (rcBackoff) has passed. Backoffs yield rather than sleep (retryClock),
+// so giving up takes about that sum, not RCRetries timer slacks.
 func (d *Device) transmitRC(q *QP, dst fabric.NodeID, txBytes int) bool {
+	var clk retryClock
 	for attempt := 0; ; attempt++ {
 		drop, delay := d.fab.FaultRC(d.cfg.Node, dst, q.qpn)
 		if delay > 0 {
@@ -148,26 +154,69 @@ func (d *Device) transmitRC(q *QP, dst fabric.NodeID, txBytes int) bool {
 		if !drop {
 			return true
 		}
-		if attempt >= d.cfg.RCRetries {
+		if attempt == 0 {
+			var budget time.Duration
+			for a := 0; a < d.cfg.RCRetries; a++ {
+				budget += rcBackoff(a)
+			}
+			clk = newRetryClock(budget)
+		}
+		if attempt >= d.cfg.RCRetries && clk.expired() {
 			return false
 		}
 		d.counters.add(&d.counters.RCRetransmits, 1)
 		pkts := d.fab.ChargeTX(d.cfg.Node, dst, txBytes)
 		d.counters.add(&d.counters.PacketsTX, uint64(pkts))
 		d.counters.add(&d.counters.BytesTX, uint64(txBytes))
-		if attempt < 2 {
-			runtime.Gosched()
-		} else {
-			back := time.Microsecond << uint(attempt)
-			if back > 64*time.Microsecond {
-				back = 64 * time.Microsecond
-			}
-			time.Sleep(back)
-		}
-		select {
-		case <-d.closed:
+		clk.pause(rcBackoff(attempt))
+		if d.isClosed() {
 			return false
-		default:
+		}
+	}
+}
+
+// rcBackoff is the nominal pause after the given failed RC attempt: two
+// bare yields, then exponential from 4µs, capped at 64µs.
+func rcBackoff(attempt int) time.Duration {
+	if attempt < 2 {
+		return 0
+	}
+	back := time.Microsecond << uint(attempt)
+	if back > 64*time.Microsecond {
+		back = 64 * time.Microsecond
+	}
+	return back
+}
+
+// retryClock paces a retry loop in wall time against a budget. Pauses
+// yield the processor instead of sleeping, since a sleep can oversleep by
+// a millisecond or more, and they run on a fixed schedule from the first
+// failure: each pause ends a nominal interval after the previous one was
+// due, so yields that overshoot do not accumulate and a loop that was
+// descheduled catches up.
+type retryClock struct {
+	next, deadline time.Time
+}
+
+func newRetryClock(budget time.Duration) retryClock {
+	now := time.Now()
+	return retryClock{next: now, deadline: now.Add(budget)}
+}
+
+// expired reports whether the time budget has passed.
+func (c *retryClock) expired() bool { return !time.Now().Before(c.deadline) }
+
+// pause yields until nominal after the previous pause was due (at least
+// once, and never past the deadline).
+func (c *retryClock) pause(nominal time.Duration) {
+	c.next = c.next.Add(nominal)
+	if c.next.After(c.deadline) {
+		c.next = c.deadline
+	}
+	for {
+		runtime.Gosched()
+		if !time.Now().Before(c.next) {
+			return
 		}
 	}
 }
@@ -365,28 +414,39 @@ func (d *Device) execAtomic(peer *Device, wr *SendWR) Status {
 	return StatusOK
 }
 
+// rnrInterval is the pause between receiver-not-ready retries; an RNR
+// wait's time budget is Config.RNRRetries of them.
+const rnrInterval = 10 * time.Microsecond
+
 // waitRecv pops a receive buffer from dq, retrying while the responder is
-// not ready (RC receiver-not-ready flow control). Each retry yields the
-// processor; the stall is real head-of-line blocking for the pipeline,
-// as on hardware.
+// not ready (RC receiver-not-ready flow control). The first 64 retries
+// yield the processor once, the rest pause rnrInterval (retryClock); the
+// stall is real head-of-line blocking for the pipeline, as on hardware.
+// The wait gives up once it has made RNRRetries attempts and RNRRetries ×
+// rnrInterval has passed, so the timeout tracks wall time rather than
+// timer slack.
 func (d *Device) waitRecv(dq *QP) (RecvWR, bool) {
-	for attempt := 0; attempt < d.cfg.RNRRetries; attempt++ {
+	var clk retryClock
+	for attempt := 0; ; attempt++ {
 		if rwr, ok := dq.popRecv(); ok {
 			return rwr, true
 		}
-		d.counters.add(&d.counters.RNRWaits, 1)
-		if attempt < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
+		if attempt == 0 {
+			clk = newRetryClock(time.Duration(d.cfg.RNRRetries) * rnrInterval)
 		}
-		select {
-		case <-d.closed:
+		if attempt >= d.cfg.RNRRetries && clk.expired() {
 			return RecvWR{}, false
-		default:
+		}
+		d.counters.add(&d.counters.RNRWaits, 1)
+		pause := rnrInterval
+		if attempt < 64 {
+			pause = 0
+		}
+		clk.pause(pause)
+		if d.isClosed() {
+			return RecvWR{}, false
 		}
 	}
-	return RecvWR{}, false
 }
 
 // complete delivers (or suppresses) the requester-side completion for wr.

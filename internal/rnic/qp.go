@@ -55,7 +55,7 @@ type SendWR struct {
 	// Pooled transfers ownership of the Inline buffer's pool lease to the
 	// device: PostSend is asynchronous, so a caller staging Inline bytes in
 	// a pooled buffer cannot release it when PostSend returns — the
-	// pipeline reads Inline later. The device releases the lease when the
+	// device may read Inline later. The device releases the lease when the
 	// WR reaches a terminal state (executed, flushed on QP error, or
 	// abandoned at Close). If PostSend returns an error, nothing was
 	// enqueued and the lease stays with the caller.
@@ -217,6 +217,11 @@ func (q *QP) payloadLen(wr *SendWR) int {
 // doorbell once. The single doorbell per call is the MMIO economy FLock's
 // leader exploits by linking followers' work requests into one post (§6):
 // Device.Counters.Doorbells counts calls, not WRs.
+//
+// When the device's processing unit is idle, PostSend executes the queue
+// itself before returning, up to the first WR that may block (mayBlock),
+// and only while no fault is armed on the fabric; the pipeline goroutine
+// executes the rest.
 func (q *QP) PostSend(wrs ...SendWR) error {
 	if len(wrs) == 0 {
 		return nil
@@ -227,6 +232,13 @@ func (q *QP) PostSend(wrs ...SendWR) error {
 		}
 	}
 	q.mu.Lock()
+	if q.dev.isClosed() {
+		// Close sweeps send queues under q.mu after closing, so WRs
+		// appended before this check are released by Close and none may
+		// be appended after it.
+		q.mu.Unlock()
+		return ErrDeviceClosed
+	}
 	switch q.state {
 	case qpError:
 		q.mu.Unlock()
@@ -247,9 +259,18 @@ func (q *QP) PostSend(wrs ...SendWR) error {
 	q.dev.counters.add(&q.dev.counters.Doorbells, 1)
 	q.dev.counters.add(&q.dev.counters.WorkRequests, uint64(len(wrs)))
 	if ring {
-		return q.dev.ring(q)
+		q.dev.ring(q)
 	}
 	return nil
+}
+
+// mayBlock reports whether executing wr can wait on the peer: a connected
+// send or write-with-immediate consumes a remote receive WQE and spins in
+// waitRecv (receiver-not-ready) until one is posted. Such WRs never run on
+// a posting goroutine, which could be the very one meant to post that
+// receive.
+func (q *QP) mayBlock(wr *SendWR) bool {
+	return q.transport != UD && (wr.Op == OpSend || wr.Op == OpWriteImm)
 }
 
 // PostRecv posts receive buffers. Each inbound send (or write-imm event)

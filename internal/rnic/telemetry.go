@@ -16,6 +16,7 @@ func (d *Device) PublishTelemetry(reg *telemetry.Registry, prefix string) {
 	}
 	c := &d.counters
 	cf("doorbells", &c.Doorbells)
+	cf("inline_doorbells", &c.InlineDoorbells)
 	cf("work_requests", &c.WorkRequests)
 	cf("processed", &c.Processed)
 	cf("cache_hits", &c.CacheHits)

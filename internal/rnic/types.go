@@ -21,8 +21,10 @@
 //     observes partially-placed messages and the canary check is
 //     load-bearing.
 //
-// Each Device runs a single pipeline goroutine that drains QP send queues
-// in doorbell order, mirroring the serialized processing unit of a NIC.
+// Each Device has one processing unit, mirroring the serialized
+// processing unit of a NIC: one QP send queue drains at a time. A
+// doorbell that finds it idle runs on the posting goroutine; otherwise the
+// device's pipeline goroutine drains queued QPs in doorbell order.
 package rnic
 
 import "fmt"
